@@ -1,12 +1,14 @@
 //! Shared helpers for the criterion benchmarks.
 //!
-//! Each bench target under `benches/` times the workload behind one figure
-//! of the paper (the *data* for the figures is produced by the `repro`
-//! binary in `npd-experiments`; these benches answer "how fast is the
-//! implementation on that workload"). Two targets track infrastructure
-//! rather than figures: `netsim_scale` (the sharded simulator's round loop
-//! at `n > 10⁶`) and `design_throughput` (sampling cost of every pooling
-//! design in the `npd_core::PoolingDesign` catalog).
+//! Each bench target under `benches/` times one layer of the
+//! implementation: the decoders (`decoder_throughput`,
+//! `baseline_decoders`, `ablations`), the Monte-Carlo sweep (`mc_sweep`),
+//! the pooling designs (`design_throughput`), the protocol and its
+//! simulator (`protocol`, `netsim_scale`, `substrates`), the workload
+//! models (`workload_throughput`), and the telemetry hooks
+//! (`telemetry_overhead`). The *data* for the paper's figures is produced
+//! by the `repro` binary in `npd-experiments`; these benches answer "how
+//! fast is the implementation".
 
 #![warn(missing_docs)]
 #![forbid(unsafe_code)]

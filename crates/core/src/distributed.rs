@@ -7,7 +7,12 @@
 //! 1. **Measure in parallel** (round 0): each query node sends its noisy
 //!    result `σ̂ⱼ` to every *distinct* member `∂*aⱼ`.
 //! 2. **Accumulate** (round 1): each agent folds the incoming measurements
-//!    into `Ψᵢ` and `Δ*ᵢ` and forms its score `Ψᵢ − Δ*ᵢ·k/2`.
+//!    into `Ψᵢ`, `Δ*ᵢ`, `Δᵢ` and its slot sum, and forms the noise-aware
+//!    score `Ψᵢ − (Σ_{j∈∂*i} |∂aⱼ| − Δᵢ)·(q + k(1−p−q)/(n−1))` (see
+//!    [`crate::Centering::NoiseAware`]; Algorithm 1's printed `Ψᵢ − Δ*ᵢ·k/2`
+//!    is its noiseless limit). The fold step and the centering are shared
+//!    with [`crate::GreedyDecoder`], non-finite measurements included: they
+//!    are skipped with their degree terms.
 //! 3. **Select the top `k`** (phase II): pluggable via
 //!    [`SelectionStrategy`] —
 //!    * [`SelectionStrategy::BatcherSort`]: agents run a Batcher odd-even
@@ -42,10 +47,10 @@
 //!
 //! # Agent-level chaos
 //!
-//! [`run_protocol_chaos`] extends the fault surface from messages to
-//! *agents* ([`ProtocolOptions`]): a [`NodeFaultPlan`] crashes, lags, or
-//! corrupts nodes mid-protocol, and an optional [`ReliableConfig`] sends
-//! the measurement broadcast through the engine's at-least-once layer.
+//! [`ProtocolOptions`] extends the fault surface from messages to
+//! *agents*: a [`NodeFaultPlan`] crashes, lags, or corrupts nodes
+//! mid-protocol, and an optional [`ReliableConfig`] sends the measurement
+//! broadcast through the engine's at-least-once layer.
 //! The degradation contract extends accordingly:
 //!
 //! * A crashed agent simply stops participating; partners degrade exactly
@@ -54,8 +59,8 @@
 //! * A *restarted* agent rejoins with its state wiped. It cannot re-enter
 //!   the lock-step selection mid-phase, so it turns passive: it honors a
 //!   late `Assign`, counts everything else as stale, and sends nothing.
-//! * Corrupted payloads stay finite (see the garbler) and are folded like
-//!   any other arrival; [`ProtocolOptions::winsorize`] clamps measurement
+//! * Corrupted payloads are folded like any other arrival (a non-finite
+//!   one is skipped); [`ProtocolOptions::winsorize`] clamps measurement
 //!   values into the plausible `[0, slots]` range to bound the damage.
 //! * Measurements are deduplicated per query sender, so duplication
 //!   faults and at-least-once retransmission never double-count.
@@ -65,7 +70,7 @@
 //!   straggler, retry, and grace slack so chaos runs still terminate
 //!   instead of hitting `MaxRoundsExceeded`.
 
-use crate::greedy::Estimate;
+use crate::greedy::{admit, AgentFold, Estimate};
 use crate::model::Run;
 use npd_netsim::gossip::{TopKCore, TopKMsg, PROBE_LIMIT};
 use npd_netsim::{
@@ -73,7 +78,9 @@ use npd_netsim::{
     Network, Node, NodeFaultPlan, NodeId, NodeTraffic, ReliableConfig,
 };
 use npd_sortnet::SortingNetwork;
-use npd_telemetry::{Event, TelemetrySink};
+use npd_telemetry::Event;
+/// The telemetry handle [`run_protocol`] records into.
+pub use npd_telemetry::TelemetrySink;
 use std::sync::Arc;
 
 /// How phase II (top-`k` selection) of the protocol is executed.
@@ -253,11 +260,7 @@ struct AgentState {
     /// Crashed and rejoined with wiped state ([`Node::on_restart`]):
     /// passive for the rest of the run.
     restarted: bool,
-    psi: f64,
-    distinct: u32,
-    multi: u64,
-    /// Total slots of the queries heard from (`Σ_{j∈∂*i} |∂aⱼ|`).
-    slot_sum: u64,
+    fold: AgentFold,
     score: f64,
     /// Stale arrivals counted and ignored (wrong-layer tokens under
     /// `BatcherSort`, out-of-phase gossip messages under
@@ -292,10 +295,7 @@ impl Node<ProtocolMessage> for ProtocolNode {
             // a restart cannot replay; there is nothing to wipe.
             ProtocolNode::Query(_) => {}
             ProtocolNode::Agent(a) => {
-                a.psi = 0.0;
-                a.distinct = 0;
-                a.multi = 0;
-                a.slot_sum = 0;
+                a.fold = AgentFold::default();
                 a.score = 0.0;
                 a.heard.clear();
                 a.output = None;
@@ -364,10 +364,7 @@ impl AgentState {
         }
         if r == score_round {
             self.fold_measurements(ctx);
-            // Identical expression (and evaluation order) to the sequential
-            // decoder, so the two implementations agree bit-for-bit.
-            let slots = (self.slot_sum - self.multi) as f64;
-            self.score = self.psi - slots * self.slot_rate;
+            self.score = self.fold.centered(self.slot_rate);
             return match &mut self.phase2 {
                 Phase2::Batcher {
                     schedule,
@@ -429,9 +426,8 @@ impl AgentState {
         }
     }
 
-    /// Folds the inbox's measurements into the score accumulators,
-    /// deduplicating per query sender and (optionally) winsorizing the
-    /// value into the plausible `[0, slots]` range.
+    /// Folds the inbox's measurements into the score accumulators through
+    /// the sequential decoder's fold step, deduplicating per query sender.
     fn fold_measurements(&mut self, ctx: &mut Context<'_, ProtocolMessage>) {
         for env in ctx.inbox() {
             if let ProtocolMessage::Measurement {
@@ -449,18 +445,9 @@ impl AgentState {
                     continue;
                 }
                 self.heard.push(from);
-                let value = if self.winsorize {
-                    // A true query result counts ones over `slots` reads,
-                    // so anything outside [0, slots] is noise or
-                    // corruption; clamping bounds its leverage on Ψᵢ.
-                    value.clamp(0.0, slots as f64)
-                } else {
-                    value
-                };
-                self.psi += value;
-                self.distinct += 1;
-                self.multi += multiplicity as u64;
-                self.slot_sum += slots as u64;
+                if let Some(value) = admit(value, slots, self.winsorize) {
+                    self.fold.add(value, multiplicity, slots);
+                }
             }
         }
     }
@@ -657,106 +644,9 @@ pub struct ProtocolOutcome {
     pub node_traffic: Vec<NodeTraffic>,
 }
 
-/// Runs the distributed protocol for a sampled [`Run`] on a fault-free
-/// network with the default [`SelectionStrategy::BatcherSort`].
-///
-/// # Errors
-///
-/// Returns [`MaxRoundsExceeded`] if the network fails to quiesce — which
-/// indicates a bug, as the fault-free protocol always terminates after
-/// `depth + 3` rounds.
-///
-/// # Examples
-///
-/// ```
-/// use npd_core::{distributed, Decoder, GreedyDecoder, Instance};
-/// use rand::SeedableRng;
-///
-/// let mut rng = rand::rngs::StdRng::seed_from_u64(5);
-/// let run = Instance::builder(64).k(2).queries(60).build().unwrap().sample(&mut rng);
-/// let outcome = distributed::run_protocol(&run).unwrap();
-/// assert_eq!(outcome.estimate, GreedyDecoder::new().decode(&run));
-/// ```
-pub fn run_protocol(run: &Run) -> Result<ProtocolOutcome, MaxRoundsExceeded> {
-    run_protocol_configured(run, SelectionStrategy::default(), None)
-}
-
-/// Runs the protocol on a fault-free network with an explicit phase-II
-/// strategy.
-///
-/// Both strategies produce output bit-identical to the sequential decoder
-/// on fault-free networks (pinned by the equivalence tests).
-///
-/// # Errors
-///
-/// Returns [`MaxRoundsExceeded`] if the network fails to quiesce.
-///
-/// # Examples
-///
-/// ```
-/// use npd_core::distributed::{self, SelectionStrategy};
-/// use npd_core::Instance;
-/// use rand::SeedableRng;
-///
-/// let mut rng = rand::rngs::StdRng::seed_from_u64(5);
-/// let run = Instance::builder(64).k(2).queries(60).build().unwrap().sample(&mut rng);
-/// let sorted = distributed::run_protocol(&run).unwrap();
-/// let gossip =
-///     distributed::run_protocol_with(&run, SelectionStrategy::gossip()).unwrap();
-/// assert_eq!(sorted.estimate, gossip.estimate);
-/// assert_eq!(gossip.sort_depth, 0); // no sorting network was built
-/// ```
-pub fn run_protocol_with(
-    run: &Run,
-    strategy: SelectionStrategy,
-) -> Result<ProtocolOutcome, MaxRoundsExceeded> {
-    run_protocol_configured(run, strategy, None)
-}
-
-/// Runs the distributed protocol with message fault injection (default
-/// [`SelectionStrategy::BatcherSort`]).
-///
-/// See the module docs for the degradation semantics; correctness of the
-/// sort requires reliable delivery, so dropped token or assignment messages
-/// surface as reconstruction errors and
-/// [`missing_assignments`](ProtocolOutcome::missing_assignments), never as
-/// deadlock.
-///
-/// # Errors
-///
-/// Returns [`MaxRoundsExceeded`] if the network fails to quiesce.
-pub fn run_protocol_with_faults(
-    run: &Run,
-    faults: FaultConfig,
-) -> Result<ProtocolOutcome, MaxRoundsExceeded> {
-    run_protocol_configured(run, SelectionStrategy::default(), Some(faults))
-}
-
-/// The message-fault entry point: explicit strategy, optional message
-/// fault injection. See [`run_protocol_chaos`] for agent-level faults.
-///
-/// # Errors
-///
-/// Returns [`MaxRoundsExceeded`] if the network fails to quiesce within
-/// the strategy's round budget (which includes the fault model's maximum
-/// message delay).
-pub fn run_protocol_configured(
-    run: &Run,
-    strategy: SelectionStrategy,
-    faults: Option<FaultConfig>,
-) -> Result<ProtocolOutcome, MaxRoundsExceeded> {
-    run_protocol_chaos(
-        run,
-        ProtocolOptions {
-            strategy,
-            faults,
-            ..ProtocolOptions::default()
-        },
-    )
-}
-
-/// Configuration of a chaos run: phase-II strategy plus every fault
-/// surface the simulator offers.
+/// Configuration of a protocol run: phase-II strategy plus every fault
+/// surface the simulator offers. The default is the paper's fault-free
+/// Batcher protocol.
 #[derive(Debug, Clone, Copy, Default)]
 pub struct ProtocolOptions {
     /// Phase-II strategy.
@@ -782,10 +672,10 @@ pub struct ProtocolOptions {
     pub winsorize: bool,
     /// Override the network shard count (default:
     /// [`recommended_shards`] over all `n + m` nodes). The outcome —
-    /// and the deterministic telemetry stream of
-    /// [`run_protocol_chaos_traced`] — is bit-identical for every
-    /// value; this only controls available parallelism, and exists so
-    /// the determinism suite can pin that claim across shard counts.
+    /// and the deterministic telemetry stream of [`run_protocol`] — is
+    /// bit-identical for every value; this only controls available
+    /// parallelism, and exists so the determinism suite can pin that claim
+    /// across shard counts.
     pub shards: Option<usize>,
 }
 
@@ -816,30 +706,21 @@ fn garble_protocol_message(msg: &mut ProtocolMessage, entropy: u64) {
     }
 }
 
-/// The full-chaos entry point: message faults, agent faults, reliable
-/// measurement delivery, a measurement grace window, and winsorized
-/// accumulation, all in one [`ProtocolOptions`].
+/// Runs the distributed protocol for a sampled [`Run`]: phase-II strategy,
+/// message faults, agent faults, reliable measurement delivery, a
+/// measurement grace window, and winsorized accumulation, all in one
+/// [`ProtocolOptions`] (the default is the paper's fault-free Batcher
+/// protocol).
 ///
-/// The round budget covers every configured slack (message delay,
-/// straggler lag, retransmission backoff, grace window), so a chaos run
-/// that terminates degraded still terminates *cleanly* — see the module
-/// docs for the degradation contract.
+/// On a fault-free network both strategies produce output bit-identical
+/// to [`crate::GreedyDecoder`] (pinned by the equivalence tests). Under
+/// faults the round budget covers every configured slack (message delay,
+/// straggler lag, retransmission backoff, grace window), so a run that
+/// terminates degraded still terminates *cleanly* — see the module docs
+/// for the degradation contract.
 ///
-/// # Errors
-///
-/// Returns [`MaxRoundsExceeded`] if the network fails to quiesce within
-/// that budget, which indicates a bug rather than a survivable fault.
-pub fn run_protocol_chaos(
-    run: &Run,
-    options: ProtocolOptions,
-) -> Result<ProtocolOutcome, MaxRoundsExceeded> {
-    run_protocol_chaos_traced(run, options, &TelemetrySink::default())
-}
-
-/// [`run_protocol_chaos`] with an attached telemetry sink.
-///
-/// The sink is handed to the network engine (per-round spans, delivery
-/// and fault deltas, inbox/in-flight histograms; see
+/// The telemetry sink is handed to the network engine (per-round spans,
+/// delivery and fault deltas, inbox/in-flight histograms; see
 /// [`Network::with_telemetry`]), and on completion the protocol adds its
 /// own deterministic summary: one `phase` event per protocol phase —
 /// measurement broadcast, score accumulation, selection, and (Batcher
@@ -848,14 +729,35 @@ pub fn run_protocol_chaos(
 /// counter registry. Everything recorded is bit-identical across shard
 /// and thread counts; wall-clock phase *timing* comes from joining the
 /// engine's round spans against the phase round ranges in a harness
-/// (contract rule 11 keeps real clocks out of this crate).
+/// (contract rule 11 keeps real clocks out of this crate). Pass
+/// [`TelemetrySink::off`] to record nothing.
 ///
 /// # Errors
 ///
 /// Returns [`MaxRoundsExceeded`] if the network fails to quiesce within
-/// the chaos budget, which indicates a bug rather than a survivable
-/// fault.
-pub fn run_protocol_chaos_traced(
+/// that budget, which indicates a bug rather than a survivable fault.
+///
+/// # Examples
+///
+/// ```
+/// use npd_core::distributed::{run_protocol, ProtocolOptions, SelectionStrategy, TelemetrySink};
+/// use npd_core::{Decoder, GreedyDecoder, Instance};
+/// use rand::SeedableRng;
+///
+/// let mut rng = rand::rngs::StdRng::seed_from_u64(5);
+/// let run = Instance::builder(64).k(2).queries(60).build().unwrap().sample(&mut rng);
+/// let off = TelemetrySink::off();
+/// let sorted = run_protocol(&run, ProtocolOptions::default(), &off).unwrap();
+/// assert_eq!(sorted.estimate, GreedyDecoder::new().decode(&run));
+/// let options = ProtocolOptions {
+///     strategy: SelectionStrategy::gossip(),
+///     ..ProtocolOptions::default()
+/// };
+/// let gossip = run_protocol(&run, options, &off).unwrap();
+/// assert_eq!(sorted.estimate, gossip.estimate);
+/// assert_eq!(gossip.sort_depth, 0); // no sorting network was built
+/// ```
+pub fn run_protocol(
     run: &Run,
     options: ProtocolOptions,
     telemetry: &TelemetrySink,
@@ -902,10 +804,7 @@ pub fn run_protocol_chaos_traced(
             winsorize: options.winsorize,
             heard: Vec::new(),
             restarted: false,
-            psi: 0.0,
-            distinct: 0,
-            multi: 0,
-            slot_sum: 0,
+            fold: AgentFold::default(),
             score: 0.0,
             stale: 0,
             output: None,
@@ -1098,6 +997,9 @@ pub fn run_protocol_chaos_traced(
     })
 }
 
+#[doc(hidden)]
+pub use run_protocol as run_protocol_chaos_traced;
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -1106,6 +1008,20 @@ mod tests {
     use crate::noise::NoiseModel;
     use rand::rngs::StdRng;
     use rand::SeedableRng;
+
+    fn with_strategy(strategy: SelectionStrategy) -> ProtocolOptions {
+        ProtocolOptions {
+            strategy,
+            ..ProtocolOptions::default()
+        }
+    }
+
+    fn with_faults(faults: FaultConfig) -> ProtocolOptions {
+        ProtocolOptions {
+            faults: Some(faults),
+            ..ProtocolOptions::default()
+        }
+    }
 
     fn sample_run(n: usize, k: usize, m: usize, noise: NoiseModel, seed: u64) -> Run {
         Instance::builder(n)
@@ -1121,7 +1037,8 @@ mod tests {
     fn matches_sequential_decoder_noiseless() {
         for seed in 0..4 {
             let run = sample_run(64, 3, 50, NoiseModel::Noiseless, seed);
-            let outcome = run_protocol(&run).unwrap();
+            let outcome =
+                run_protocol(&run, ProtocolOptions::default(), &TelemetrySink::off()).unwrap();
             let sequential = GreedyDecoder::new().decode(&run);
             assert_eq!(outcome.estimate, sequential, "seed={seed}");
             assert_eq!(outcome.missing_assignments, 0);
@@ -1133,7 +1050,8 @@ mod tests {
         let channel = sample_run(50, 2, 40, NoiseModel::z_channel(0.3), 10);
         let gaussian = sample_run(50, 2, 40, NoiseModel::gaussian(2.0), 11);
         for run in [channel, gaussian] {
-            let outcome = run_protocol(&run).unwrap();
+            let outcome =
+                run_protocol(&run, ProtocolOptions::default(), &TelemetrySink::off()).unwrap();
             assert_eq!(outcome.estimate, GreedyDecoder::new().decode(&run));
         }
     }
@@ -1142,7 +1060,8 @@ mod tests {
     fn matches_sequential_on_non_power_of_two_sizes() {
         for n in [5usize, 17, 33, 100] {
             let run = sample_run(n, 2.min(n), 30, NoiseModel::Noiseless, n as u64);
-            let outcome = run_protocol(&run).unwrap();
+            let outcome =
+                run_protocol(&run, ProtocolOptions::default(), &TelemetrySink::off()).unwrap();
             assert_eq!(outcome.estimate, GreedyDecoder::new().decode(&run), "n={n}");
         }
     }
@@ -1160,7 +1079,12 @@ mod tests {
             (3, NoiseModel::gaussian(1.5)),
         ] {
             let run = sample_run(96, 3, 60, noise, seed);
-            let outcome = run_protocol_with(&run, SelectionStrategy::gossip()).unwrap();
+            let outcome = run_protocol(
+                &run,
+                with_strategy(SelectionStrategy::gossip()),
+                &TelemetrySink::off(),
+            )
+            .unwrap();
             let sequential = GreedyDecoder::new().decode(&run);
             assert_eq!(outcome.estimate, sequential, "noise={noise}");
             assert_eq!(outcome.missing_assignments, 0);
@@ -1168,7 +1092,12 @@ mod tests {
         }
         for n in [2usize, 3, 5, 17, 33, 100] {
             let run = sample_run(n, 2.min(n), 30, NoiseModel::Noiseless, 40 + n as u64);
-            let outcome = run_protocol_with(&run, SelectionStrategy::gossip()).unwrap();
+            let outcome = run_protocol(
+                &run,
+                with_strategy(SelectionStrategy::gossip()),
+                &TelemetrySink::off(),
+            )
+            .unwrap();
             assert_eq!(outcome.estimate, GreedyDecoder::new().decode(&run), "n={n}");
         }
     }
@@ -1179,7 +1108,12 @@ mod tests {
     #[test]
     fn gossip_strategy_skips_sorting_network_and_assignments() {
         let run = sample_run(64, 3, 80, NoiseModel::gaussian(1.0), 9);
-        let outcome = run_protocol_with(&run, SelectionStrategy::gossip()).unwrap();
+        let outcome = run_protocol(
+            &run,
+            with_strategy(SelectionStrategy::gossip()),
+            &TelemetrySink::off(),
+        )
+        .unwrap();
         assert_eq!(outcome.strategy, SelectionStrategy::gossip());
         assert_eq!(outcome.sort_depth, 0);
         assert!(outcome.probes > 0, "adaptive bisection must probe");
@@ -1200,7 +1134,8 @@ mod tests {
     #[test]
     fn round_count_is_depth_plus_three() {
         let run = sample_run(32, 2, 10, NoiseModel::Noiseless, 1);
-        let outcome = run_protocol(&run).unwrap();
+        let outcome =
+            run_protocol(&run, ProtocolOptions::default(), &TelemetrySink::off()).unwrap();
         assert_eq!(outcome.rounds, outcome.sort_depth as u64 + 3);
         assert_eq!(outcome.selection_rounds, outcome.sort_depth as u64);
     }
@@ -1210,7 +1145,8 @@ mod tests {
         // Messages = Σⱼ|∂*aⱼ| (measurements) + 2·comparators (tokens)
         //          + n (assignments).
         let run = sample_run(40, 2, 12, NoiseModel::Noiseless, 2);
-        let outcome = run_protocol(&run).unwrap();
+        let outcome =
+            run_protocol(&run, ProtocolOptions::default(), &TelemetrySink::off()).unwrap();
         let measurement_msgs: u64 = run
             .graph()
             .queries()
@@ -1229,7 +1165,8 @@ mod tests {
         // exactly once (one active send round, one message per distinct
         // member), and never receives anything.
         let run = sample_run(30, 2, 8, NoiseModel::Noiseless, 3);
-        let outcome = run_protocol(&run).unwrap();
+        let outcome =
+            run_protocol(&run, ProtocolOptions::default(), &TelemetrySink::off()).unwrap();
         let n = 30;
         for (j, q) in run.graph().queries().iter().enumerate() {
             let t = outcome.node_traffic[n + j];
@@ -1252,7 +1189,8 @@ mod tests {
     fn tiny_populations() {
         for n in [2usize, 3] {
             let run = sample_run(n, 1, 6, NoiseModel::Noiseless, 7);
-            let outcome = run_protocol(&run).unwrap();
+            let outcome =
+                run_protocol(&run, ProtocolOptions::default(), &TelemetrySink::off()).unwrap();
             assert_eq!(outcome.estimate, GreedyDecoder::new().decode(&run), "n={n}");
         }
     }
@@ -1264,7 +1202,7 @@ mod tests {
         // (Fault seed re-picked for the per-message-identity fault RNG.)
         let run = sample_run(64, 2, 120, NoiseModel::Noiseless, 22);
         let faults = FaultConfig::new(0.01, 0.0, 1).unwrap();
-        let outcome = run_protocol_with_faults(&run, faults).unwrap();
+        let outcome = run_protocol(&run, with_faults(faults), &TelemetrySink::off()).unwrap();
         assert!(outcome.metrics.messages_dropped > 0);
         assert_eq!(outcome.estimate.ones(), run.ground_truth().ones());
     }
@@ -1273,7 +1211,7 @@ mod tests {
     fn heavy_drops_degrade_but_terminate() {
         let run = sample_run(32, 2, 40, NoiseModel::Noiseless, 22);
         let faults = FaultConfig::new(0.5, 0.0, 6).unwrap();
-        let outcome = run_protocol_with_faults(&run, faults).unwrap();
+        let outcome = run_protocol(&run, with_faults(faults), &TelemetrySink::off()).unwrap();
         // Termination and shape are guaranteed; correctness is not.
         assert_eq!(outcome.estimate.bits().len(), 32);
         assert!(outcome.rounds <= outcome.sort_depth as u64 + 5);
@@ -1283,7 +1221,7 @@ mod tests {
     fn duplication_faults_terminate() {
         let run = sample_run(16, 1, 10, NoiseModel::Noiseless, 23);
         let faults = FaultConfig::new(0.0, 0.3, 7).unwrap();
-        let outcome = run_protocol_with_faults(&run, faults).unwrap();
+        let outcome = run_protocol(&run, with_faults(faults), &TelemetrySink::off()).unwrap();
         assert_eq!(outcome.estimate.bits().len(), 16);
     }
 
@@ -1340,7 +1278,7 @@ mod tests {
         for seed in 0..12u64 {
             let run = sample_run(32, 3, 120, NoiseModel::Noiseless, 50 + seed);
             let faults = FaultConfig::new(0.0, 0.0, seed).unwrap().with_max_delay(2);
-            let outcome = run_protocol_with_faults(&run, faults).unwrap();
+            let outcome = run_protocol(&run, with_faults(faults), &TelemetrySink::off()).unwrap();
             assert_eq!(outcome.estimate.bits().len(), 32, "seed={seed}");
             saw_stale |= outcome.stale_messages > 0;
         }
@@ -1358,7 +1296,7 @@ mod tests {
         for seed in 0..10u64 {
             let run = sample_run(24, 2, 60, NoiseModel::Noiseless, 80 + seed);
             let faults = FaultConfig::new(0.0, 0.0, seed).unwrap().with_max_delay(6);
-            let outcome = run_protocol_with_faults(&run, faults)
+            let outcome = run_protocol(&run, with_faults(faults), &TelemetrySink::off())
                 .unwrap_or_else(|e| panic!("seed={seed}: spurious {e}"));
             assert_eq!(outcome.estimate.bits().len(), 24);
             saw_delay |= outcome.metrics.messages_delayed > 0;
@@ -1377,8 +1315,15 @@ mod tests {
             let faults = FaultConfig::new(drop, dup, seed)
                 .unwrap()
                 .with_max_delay(delay);
-            let outcome = run_protocol_configured(&run, SelectionStrategy::gossip(), Some(faults))
-                .expect("gossip protocol must terminate under faults");
+            let outcome = run_protocol(
+                &run,
+                ProtocolOptions {
+                    faults: Some(faults),
+                    ..with_strategy(SelectionStrategy::gossip())
+                },
+                &TelemetrySink::off(),
+            )
+            .expect("gossip protocol must terminate under faults");
             assert_eq!(outcome.estimate.bits().len(), 48);
             assert_eq!(outcome.missing_assignments, 0, "gossip decisions are local");
         }
@@ -1416,7 +1361,7 @@ mod tests {
                 node_faults: Some(plan),
                 ..ProtocolOptions::default()
             };
-            let outcome = run_protocol_chaos(&run, options)
+            let outcome = run_protocol(&run, options, &TelemetrySink::off())
                 .unwrap_or_else(|e| panic!("{strategy}: chaos run must complete: {e}"));
             assert_eq!(outcome.estimate.bits().len(), 64, "{strategy}");
             assert!(outcome.metrics.node_crashes > 0, "{strategy}");
@@ -1432,7 +1377,7 @@ mod tests {
                 outcome.agent_liveness.iter().any(|&alive| !alive),
                 "{strategy}: some agent must be down at the end"
             );
-            let replay = run_protocol_chaos(&run, options).unwrap();
+            let replay = run_protocol(&run, options, &TelemetrySink::off()).unwrap();
             assert_eq!(outcome, replay, "{strategy}: chaos must replay");
         }
     }
@@ -1448,13 +1393,14 @@ mod tests {
             .unwrap()
             .with_restarts(2);
         for strategy in [SelectionStrategy::BatcherSort, SelectionStrategy::gossip()] {
-            let outcome = run_protocol_chaos(
+            let outcome = run_protocol(
                 &run,
                 ProtocolOptions {
                     strategy,
                     node_faults: Some(plan),
                     ..ProtocolOptions::default()
                 },
+                &TelemetrySink::off(),
             )
             .unwrap_or_else(|e| panic!("{strategy}: restart run must complete: {e}"));
             assert!(outcome.metrics.node_restarts > 0, "{strategy}");
@@ -1474,7 +1420,7 @@ mod tests {
     fn reliable_measurements_with_grace_recover_scores() {
         let run = sample_run(48, 2, 80, NoiseModel::Noiseless, 13);
         let rc = ReliableConfig::new(1, 4);
-        let outcome = run_protocol_chaos(
+        let outcome = run_protocol(
             &run,
             ProtocolOptions {
                 strategy: SelectionStrategy::BatcherSort,
@@ -1483,6 +1429,7 @@ mod tests {
                 grace: rc.worst_case_rounds(),
                 ..ProtocolOptions::default()
             },
+            &TelemetrySink::off(),
         )
         .expect("reliable run must complete");
         assert!(outcome.metrics.messages_retransmitted > 0);
@@ -1504,13 +1451,14 @@ mod tests {
             node_faults: Some(plan),
             ..ProtocolOptions::default()
         };
-        let raw = run_protocol_chaos(&run, base).unwrap();
-        let clamped = run_protocol_chaos(
+        let raw = run_protocol(&run, base, &TelemetrySink::off()).unwrap();
+        let clamped = run_protocol(
             &run,
             ProtocolOptions {
                 winsorize: true,
                 ..base
             },
+            &TelemetrySink::off(),
         )
         .unwrap();
         assert!(raw.metrics.messages_corrupted > 0);
@@ -1543,9 +1491,12 @@ mod tests {
     #[test]
     fn tight_probe_limit_still_selects() {
         let run = sample_run(48, 3, 70, NoiseModel::gaussian(1.0), 8);
-        let outcome =
-            run_protocol_with(&run, SelectionStrategy::GossipThreshold { probe_limit: 40 })
-                .expect("tight-cap run must complete");
+        let outcome = run_protocol(
+            &run,
+            with_strategy(SelectionStrategy::GossipThreshold { probe_limit: 40 }),
+            &TelemetrySink::off(),
+        )
+        .expect("tight-cap run must complete");
         assert_eq!(outcome.estimate, GreedyDecoder::new().decode(&run));
         assert!(outcome.probes <= 40);
     }

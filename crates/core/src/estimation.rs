@@ -21,6 +21,7 @@
 //! one-dimensional root-finding problem solved by bisection. For the
 //! Z-channel (`q = 0` known a priori) the mean equation alone suffices.
 
+use crate::greedy::{Fold, GreedyWorkspace, ScoreOptions};
 use crate::model::Run;
 use serde::{Deserialize, Serialize};
 use std::fmt;
@@ -135,8 +136,17 @@ pub fn estimate_slot_rate(run: &Run) -> Result<f64, EstimationError> {
 /// queries.
 pub fn decode_with_estimated_noise(run: &Run) -> Result<crate::Estimate, EstimationError> {
     let rate = estimate_slot_rate(run)?;
-    let scores = crate::GreedyDecoder::new().scores_with_slot_rate(run, rate);
+    let scores = scores_at_rate(run, rate, Fold::Plain);
     Ok(crate::Estimate::from_scores(scores, run.instance().k()))
+}
+
+/// Default-decoder scores centered with an explicitly given slot rate.
+fn scores_at_rate(run: &Run, rate: f64, fold: Fold<'_>) -> Vec<f64> {
+    let options = ScoreOptions {
+        fold,
+        slot_rate: Some(rate),
+    };
+    crate::GreedyDecoder::new().scores_with(run, &options, &mut GreedyWorkspace::new())
 }
 
 /// Flags queries whose results look corrupted, by a robust outlier rule on
@@ -197,7 +207,7 @@ pub fn flag_corrupted_queries(run: &Run, z: f64) -> Vec<bool> {
 
 /// [`estimate_slot_rate`] restricted to the queries *not* flagged in
 /// `exclude` — the robust moment estimate to pair with
-/// [`crate::GreedyDecoder::scores_trimmed_with_slot_rate`]: a handful of
+/// a [`Fold::Exclude`] fold (see [`decode_trimmed`]): a handful of
 /// garbled results shift the plain first moment by an unbounded amount,
 /// so the trimmed decoder must not center with it.
 ///
@@ -252,7 +262,7 @@ pub fn estimate_slot_rate_trimmed(run: &Run, exclude: &[bool]) -> Result<f64, Es
 pub fn decode_trimmed(run: &Run, z: f64) -> Result<crate::Estimate, EstimationError> {
     let exclude = flag_corrupted_queries(run, z);
     let rate = estimate_slot_rate_trimmed(run, &exclude)?;
-    let scores = crate::GreedyDecoder::new().scores_trimmed_with_slot_rate(run, rate, &exclude);
+    let scores = scores_at_rate(run, rate, Fold::Exclude(&exclude));
     Ok(crate::Estimate::from_scores(scores, run.instance().k()))
 }
 
@@ -465,7 +475,7 @@ pub fn estimate_k_with_prior(run: &Run, prior: &[f64]) -> Result<usize, Estimati
 /// cut and the scores informed by the population prior.
 ///
 /// Combines [`estimate_k_with_prior`] (posterior `k̂`) with
-/// [`crate::GreedyDecoder::posterior_scores`] (per-agent log-prior-odds in
+/// [`crate::GreedyDecoder::scores_with_posterior`] (per-agent log-prior-odds in
 /// the ranking); the structured-workload counterpart of
 /// [`decode_with_estimated_k`].
 ///
@@ -479,7 +489,7 @@ pub fn estimate_k_with_prior(run: &Run, prior: &[f64]) -> Result<usize, Estimati
 /// Panics if `prior.len() != n` or any `πᵢ ∉ [0, 1]`.
 pub fn decode_with_prior(run: &Run, prior: &[f64]) -> Result<crate::Estimate, EstimationError> {
     let k_hat = estimate_k_with_prior(run, prior)?;
-    let scores = crate::GreedyDecoder::new().posterior_scores(run, prior);
+    let (_, scores) = crate::GreedyDecoder::new().scores_with_posterior(run, prior);
     Ok(crate::Estimate::from_scores(scores, k_hat))
 }
 
@@ -505,7 +515,7 @@ pub fn decode_with_estimated_k(run: &Run) -> Result<crate::Estimate, EstimationE
     };
     // The analysis' slot rate with the estimated k: q + k̂(1−p−q)/(n−1).
     let rate = q + k_hat as f64 * (1.0 - p - q) / (instance.n() as f64 - 1.0);
-    let scores = crate::GreedyDecoder::new().scores_with_slot_rate(run, rate);
+    let scores = scores_at_rate(run, rate, Fold::Plain);
     Ok(crate::Estimate::from_scores(scores, k_hat))
 }
 

@@ -175,111 +175,78 @@ impl GreedyDecoder {
     /// Exposed separately so callers can inspect the score landscape (e.g.
     /// the separation diagnostic) without re-deriving it.
     pub fn scores(&self, run: &Run) -> Vec<f64> {
-        let mut workspace = GreedyWorkspace::new();
-        self.scores_using(run, &mut workspace)
+        self.scores_with(run, &ScoreOptions::default(), &mut GreedyWorkspace::new())
     }
 
-    /// [`GreedyDecoder::scores`] reusing the caller's accumulator buffers:
-    /// repeated scorings on same-sized populations touch the allocator only
-    /// for the returned score vector. Output is identical to the one-shot
-    /// path.
-    pub fn scores_using(&self, run: &Run, workspace: &mut GreedyWorkspace) -> Vec<f64> {
-        self.scores_inner(
-            run,
-            self.resolved_rate(run),
-            workspace,
-            FoldPolicy::default(),
-        )
-    }
-
-    /// Noise-aware scores with an explicit per-slot one-read rate, for use
-    /// when the channel parameters are *estimated* rather than known (see
-    /// [`crate::estimation::estimate_slot_rate`]).
-    pub fn scores_with_slot_rate(&self, run: &Run, slot_rate: f64) -> Vec<f64> {
-        self.scores_inner(
-            run,
-            Some(slot_rate),
-            &mut GreedyWorkspace::new(),
-            FoldPolicy::default(),
-        )
-    }
-
-    /// [`GreedyDecoder::scores`] with each query result winsorized into its
-    /// feasible range `[0, |∂*aⱼ|]` before accumulation.
+    /// [`GreedyDecoder::scores`] with an explicit fold and slot rate,
+    /// reusing the caller's accumulator buffers.
     ///
-    /// A measurement legitimately reads at most one per slot, so clamping
-    /// bounds the damage any single corrupted payload can do: every
-    /// accumulated `Ψᵢ` stays within the clean-fold envelope
-    /// `|Ψᵢ| ≤ Σ_{j∈∂*i} |∂aⱼ|`. This is the sequential mirror of the
-    /// distributed protocol's winsorized fold
-    /// ([`crate::distributed::ProtocolOptions::winsorize`]). Under the
-    /// channel noise models clean results always lie inside the range, so
-    /// winsorizing is a bit-identical no-op there; only the Gaussian model
-    /// can legitimately graze the clamp.
-    pub fn scores_winsorized(&self, run: &Run) -> Vec<f64> {
-        self.scores_inner(
-            run,
-            self.resolved_rate(run),
-            &mut GreedyWorkspace::new(),
-            FoldPolicy {
-                winsorize: true,
-                exclude: None,
-            },
-        )
-    }
-
-    /// [`GreedyDecoder::scores`] with flagged queries excluded from the
-    /// accumulation entirely.
-    ///
-    /// An excluded query contributes *nothing* — neither its result nor its
-    /// degree terms — so the centering of the surviving queries is
-    /// undisturbed: the score of an agent is exactly what it would be had
-    /// the flagged queries never been asked. This is the trimmed companion
-    /// of [`GreedyDecoder::scores_winsorized`]: winsorizing caps what a
-    /// corrupted measurement can contribute, trimming removes measurements
-    /// known (or suspected) to be corrupted — see
-    /// [`crate::estimation::flag_corrupted_queries`] for a data-driven
-    /// flagger and [`crate::estimation::decode_trimmed`] for the assembled
-    /// pipeline.
+    /// Repeated scorings on same-sized populations touch the allocator only
+    /// for the returned score vector; output is identical to a fresh
+    /// workspace. [`ScoreOptions::default`] reproduces
+    /// [`GreedyDecoder::scores`] exactly.
     ///
     /// # Panics
     ///
-    /// Panics if `exclude.len() != m`.
-    pub fn scores_trimmed(&self, run: &Run, exclude: &[bool]) -> Vec<f64> {
-        self.scores_inner(
-            run,
-            self.resolved_rate(run),
-            &mut GreedyWorkspace::new(),
-            FoldPolicy {
-                winsorize: false,
-                exclude: Some(exclude),
-            },
-        )
-    }
-
-    /// [`GreedyDecoder::scores_trimmed`] with an explicit per-slot one-read
-    /// rate, for when the rate is estimated from the surviving queries
-    /// (corrupted results poison the plain moment estimate too — see
-    /// [`crate::estimation::estimate_slot_rate_trimmed`]).
-    ///
-    /// # Panics
-    ///
-    /// Panics if `exclude.len() != m`.
-    pub fn scores_trimmed_with_slot_rate(
+    /// Panics if a [`Fold::Exclude`] mask's length differs from `m`.
+    pub fn scores_with(
         &self,
         run: &Run,
-        slot_rate: f64,
-        exclude: &[bool],
+        options: &ScoreOptions<'_>,
+        ws: &mut GreedyWorkspace,
     ) -> Vec<f64> {
-        self.scores_inner(
-            run,
-            Some(slot_rate),
-            &mut GreedyWorkspace::new(),
-            FoldPolicy {
-                winsorize: false,
-                exclude: Some(exclude),
-            },
-        )
+        let n = run.instance().n();
+        let k = run.instance().k();
+        let rate = options.slot_rate.or_else(|| self.resolved_rate(run));
+        if let Fold::Exclude(exclude) = options.fold {
+            assert_eq!(
+                exclude.len(),
+                run.results().len(),
+                "GreedyDecoder: exclusion mask length must equal the query count"
+            );
+        }
+        let winsorize = options.fold == Fold::Winsorize;
+        ws.reset(n);
+        for (j, q) in run.graph().queries().iter().enumerate() {
+            if matches!(options.fold, Fold::Exclude(exclude) if exclude[j]) {
+                continue;
+            }
+            // Per-query slot count, not the nominal Γ: identical for the
+            // query-regular designs (Σ_{j∈∂*i} Γ = Δ*ᵢ·Γ), exact for ragged
+            // designs such as the doubly regular scheme.
+            let slots = q.total_slots();
+            let Some(value) = admit(run.results()[j], slots, winsorize) else {
+                continue;
+            };
+            for (a, c) in q.iter() {
+                let mut fold = ws.fold(a as usize);
+                fold.add(value, c, slots);
+                ws.store(a as usize, fold);
+            }
+        }
+        let scores: Vec<f64> = match rate {
+            None => {
+                let half_k = k as f64 / 2.0;
+                (0..n)
+                    .map(|i| ws.psi[i] - ws.distinct[i] as f64 * half_k)
+                    .collect()
+            }
+            Some(rate) => (0..n).map(|i| ws.fold(i).centered(rate)).collect(),
+        };
+        if ws.sink.is_enabled() && k > 0 && k < n {
+            // The margin between the last selected and first rejected
+            // score: the same deterministic ranking `from_scores` uses.
+            let ranked = top_k_indices(&scores, k + 1);
+            let margin = scores[ranked[k - 1]] - scores[ranked[k]];
+            ws.sink.emit(|| {
+                npd_telemetry::Event::instant("greedy.scores")
+                    .phase("greedy")
+                    .u64("n", n as u64)
+                    .u64("k", k as u64)
+                    .f64("margin", margin)
+            });
+        }
+        scores
     }
 
     /// The per-slot one-read rate the configured centering subtracts with
@@ -295,7 +262,8 @@ impl GreedyDecoder {
         }
     }
 
-    /// Posterior log-odds scores: the greedy neighborhood statistic folded
+    /// Noise-aware scores together with posterior log-odds scores, from
+    /// one accumulation pass: the greedy neighborhood statistic folded
     /// with per-agent prior one-probabilities `πᵢ = P(σᵢ = 1)`.
     ///
     /// Algorithm 1 ranks by the centered neighborhood sum alone, which is
@@ -317,21 +285,8 @@ impl GreedyDecoder {
     /// this is a strictly monotone transform of the plain score, so the
     /// selection is unchanged; an informative prior shifts borderline
     /// agents by their prior log-odds, scaled by how little evidence the
-    /// queries have accumulated on them.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `prior.len() != n` or any `πᵢ ∉ [0, 1]`.
-    pub fn posterior_scores(&self, run: &Run, prior: &[f64]) -> Vec<f64> {
-        self.scores_with_posterior(run, prior).1
-    }
-
-    /// [`GreedyDecoder::posterior_scores`] returning the noise-aware
-    /// scores it is built from as well, in one accumulation pass.
-    ///
-    /// Prior-blind-vs-prior-aware comparisons need both rankings of the
-    /// same run; computing them independently would pay the `O(m·Γ)`
-    /// accumulation twice.
+    /// queries have accumulated on them. Prior-blind-vs-prior-aware
+    /// comparisons need both rankings of the same run, hence the pair.
     ///
     /// # Panics
     ///
@@ -341,16 +296,23 @@ impl GreedyDecoder {
         assert_eq!(
             prior.len(),
             n,
-            "GreedyDecoder::posterior_scores: prior length must equal n"
+            "GreedyDecoder::scores_with_posterior: prior length must equal n"
         );
         let (p, q) = match *run.instance().noise() {
             crate::NoiseModel::Channel { p, q } => (p, q),
             crate::NoiseModel::Noiseless | crate::NoiseModel::Query { .. } => (0.0, 0.0),
         };
         let signal = 1.0 - p - q;
-        let rate = second_neighborhood_rate(n, run.instance().k(), run.instance().noise());
+        let options = ScoreOptions {
+            slot_rate: Some(second_neighborhood_rate(
+                n,
+                run.instance().k(),
+                run.instance().noise(),
+            )),
+            ..ScoreOptions::default()
+        };
         let mut ws = GreedyWorkspace::new();
-        let scores = self.scores_inner(run, Some(rate), &mut ws, FoldPolicy::default());
+        let scores = self.scores_with(run, &options, &mut ws);
 
         // Empirical per-query result variance: from any one agent's
         // viewpoint (conditioned on its own bit) a query result fluctuates
@@ -373,7 +335,7 @@ impl GreedyDecoder {
                 let pi = prior[i];
                 assert!(
                     (0.0..=1.0).contains(&pi),
-                    "GreedyDecoder::posterior_scores: prior[{i}]={pi} not a probability"
+                    "GreedyDecoder::scores_with_posterior: prior[{i}]={pi} not a probability"
                 );
                 let pi = pi.clamp(1e-12, 1.0 - 1e-12);
                 let log_odds = (pi / (1.0 - pi)).ln();
@@ -390,99 +352,119 @@ impl GreedyDecoder {
             .collect();
         (scores, posterior)
     }
+}
 
-    fn scores_inner(
-        &self,
-        run: &Run,
-        rate: Option<f64>,
-        ws: &mut GreedyWorkspace,
-        policy: FoldPolicy<'_>,
-    ) -> Vec<f64> {
-        let n = run.instance().n();
-        let k = run.instance().k();
-        if let Some(exclude) = policy.exclude {
-            assert_eq!(
-                exclude.len(),
-                run.results().len(),
-                "GreedyDecoder: exclusion mask length must equal the query count"
-            );
-        }
-        ws.reset(n);
-        let psi = &mut ws.psi;
-        let distinct = &mut ws.distinct;
-        let multi = &mut ws.multi;
-        let slot_sum = &mut ws.slot_sum;
-        for (j, q) in run.graph().queries().iter().enumerate() {
-            if policy.exclude.is_some_and(|exclude| exclude[j]) {
-                continue;
-            }
-            // Per-query slot count, not the nominal Γ: identical for the
-            // query-regular designs (Σ_{j∈∂*i} Γ = Δ*ᵢ·Γ), exact for ragged
-            // designs such as the doubly regular scheme.
-            let total = q.total_slots() as u64;
-            let mut value = run.results()[j];
-            if policy.winsorize {
-                value = value.clamp(0.0, total as f64);
-            }
-            for (a, c) in q.iter() {
-                psi[a as usize] += value;
-                distinct[a as usize] += 1;
-                multi[a as usize] += c as u64;
-                slot_sum[a as usize] += total;
-            }
-        }
-        let scores: Vec<f64> = match rate {
-            None => {
-                let half_k = k as f64 / 2.0;
-                psi.iter()
-                    .zip(distinct.iter())
-                    .map(|(&p, &d)| p - d as f64 * half_k)
-                    .collect()
-            }
-            Some(rate) => (0..n)
-                .map(|i| {
-                    let slots = (slot_sum[i] - multi[i]) as f64;
-                    psi[i] - slots * rate
-                })
-                .collect(),
-        };
-        if ws.sink.is_enabled() && k > 0 && k < n {
-            // The margin between the last selected and first rejected
-            // score: the same deterministic ranking `from_scores` uses.
-            let ranked = top_k_indices(&scores, k + 1);
-            let margin = scores[ranked[k - 1]] - scores[ranked[k]];
-            ws.sink.emit(|| {
-                npd_telemetry::Event::instant("greedy.scores")
-                    .phase("greedy")
-                    .u64("n", n as u64)
-                    .u64("k", k as u64)
-                    .f64("margin", margin)
-            });
-        }
-        scores
+/// How each query result enters the fold of
+/// [`GreedyDecoder::scores_with`].
+///
+/// Whatever the variant, a non-finite result is skipped exactly like an
+/// excluded query: a measurement that is not a number carries no evidence.
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
+pub enum Fold<'a> {
+    /// Every result as measured.
+    #[default]
+    Plain,
+    /// Each result winsorized into its feasible range `[0, |∂aⱼ|]` before
+    /// accumulation.
+    ///
+    /// A measurement legitimately reads at most one per slot, so clamping
+    /// bounds the damage any single corrupted payload can do: every
+    /// accumulated `Ψᵢ` stays within the clean-fold envelope
+    /// `|Ψᵢ| ≤ Σ_{j∈∂*i} |∂aⱼ|`. This is the sequential mirror of the
+    /// distributed protocol's winsorized fold
+    /// ([`crate::distributed::ProtocolOptions::winsorize`]). Under the
+    /// channel noise models clean results always lie inside the range, so
+    /// winsorizing is a bit-identical no-op there; only the Gaussian model
+    /// can legitimately graze the clamp.
+    Winsorize,
+    /// Flagged queries (`mask[j]`, one entry per query) excluded from the
+    /// accumulation entirely.
+    ///
+    /// An excluded query contributes *nothing* — neither its result nor its
+    /// degree terms — so the centering of the surviving queries is
+    /// undisturbed: the score of an agent is exactly what it would be had
+    /// the flagged queries never been asked. Winsorizing caps what a
+    /// corrupted measurement can contribute, trimming removes measurements
+    /// known (or suspected) to be corrupted — see
+    /// [`crate::estimation::flag_corrupted_queries`] for a data-driven
+    /// flagger and [`crate::estimation::decode_trimmed`] for the assembled
+    /// pipeline.
+    Exclude(&'a [bool]),
+}
+
+/// Options of [`GreedyDecoder::scores_with`]; the default reproduces
+/// [`GreedyDecoder::scores`].
+#[derive(Debug, Clone, Copy, Default, PartialEq)]
+pub struct ScoreOptions<'a> {
+    /// How each query result enters the fold.
+    pub fold: Fold<'a>,
+    /// Explicit per-slot one-read rate for the noise-aware centering, for
+    /// when the channel parameters are *estimated* rather than known (see
+    /// [`crate::estimation::estimate_slot_rate`] and, with a trimmed fold,
+    /// [`crate::estimation::estimate_slot_rate_trimmed`]). `None` uses the
+    /// decoder's [`Centering`].
+    pub slot_rate: Option<f64>,
+}
+
+/// One agent's running sums of Algorithm 1's step I: `Ψᵢ`, the distinct
+/// degree `Δ*ᵢ`, the multi-degree `Δᵢ`, and `Σ_{j∈∂*i} |∂aⱼ|` (equals
+/// `Δ*ᵢ·Γ` on query-regular designs).
+///
+/// The sequential decoder and the protocol's agents both fold through this
+/// type and [`admit`], so how a measurement becomes a score is decided in
+/// one place and the two implementations agree bit for bit.
+#[derive(Debug, Clone, Copy, Default, PartialEq)]
+pub(crate) struct AgentFold {
+    pub(crate) psi: f64,
+    pub(crate) distinct: u32,
+    pub(crate) multi: u64,
+    pub(crate) slot_sum: u64,
+}
+
+impl AgentFold {
+    /// Folds one admitted query result (see [`admit`]) from a query of
+    /// `slots` slots that drew this agent `multiplicity` times.
+    pub(crate) fn add(&mut self, value: f64, multiplicity: u32, slots: u32) {
+        self.psi += value;
+        self.distinct += 1;
+        self.multi += u64::from(multiplicity);
+        self.slot_sum += u64::from(slots);
+    }
+
+    /// The noise-aware score `Ψᵢ − (Σ_{j∈∂*i} |∂aⱼ| − Δᵢ)·rate` (see
+    /// [`Centering::NoiseAware`]).
+    pub(crate) fn centered(&self, rate: f64) -> f64 {
+        let slots = (self.slot_sum - self.multi) as f64;
+        self.psi - slots * rate
     }
 }
 
-/// How [`GreedyDecoder::scores_inner`] treats each query during the fold:
-/// winsorize clamps the result into its feasible `[0, slots]` range,
-/// exclude drops flagged queries (result *and* degree terms) entirely.
-#[derive(Debug, Clone, Copy, Default)]
-struct FoldPolicy<'a> {
-    winsorize: bool,
-    exclude: Option<&'a [bool]>,
+/// The value a query result of a `slots`-slot query contributes to the
+/// fold, or `None` if the query is skipped: non-finite results carry no
+/// evidence and are dropped with their degree terms. With `winsorize` the
+/// value is clamped into the feasible range `[0, slots]` ([`Fold::Winsorize`]).
+pub(crate) fn admit(value: f64, slots: u32, winsorize: bool) -> Option<f64> {
+    if !value.is_finite() {
+        None
+    } else if winsorize {
+        Some(value.clamp(0.0, f64::from(slots)))
+    } else {
+        Some(value)
+    }
 }
 
-/// Reusable accumulator buffers for [`GreedyDecoder::scores_using`].
+/// Reusable accumulator buffers for [`GreedyDecoder::scores_with`].
 ///
-/// Holds the per-agent neighborhood sums `Ψ`, distinct degrees `Δ*` and
-/// multi-degrees `Δ` so sweeping decoders do not reallocate them per trial.
+/// Holds the per-agent fold state (`Ψ`, `Δ*`, `Δ`, slot sum) so sweeping
+/// decoders do not reallocate it per trial.
 #[derive(Debug, Clone, Default)]
 pub struct GreedyWorkspace {
+    // One buffer per `AgentFold` field rather than one buffer of structs:
+    // at n = 2^14 the single 512 KiB buffer moved glibc's dynamic mmap
+    // threshold and raised the sample-to-AMP pipeline's peak RSS by 12%.
     psi: Vec<f64>,
     distinct: Vec<u32>,
     multi: Vec<u64>,
-    /// `Σ_{j∈∂*i} |∂aⱼ|` — total slots of the queries containing each
-    /// agent (equals `Δ*ᵢ·Γ` on query-regular designs).
     slot_sum: Vec<u64>,
     /// Telemetry handle (disabled by default): one `greedy.scores` event
     /// per scoring with the top-`k` selection margin.
@@ -510,6 +492,22 @@ impl GreedyWorkspace {
         resize_fill(&mut self.distinct, n, 0);
         resize_fill(&mut self.multi, n, 0);
         resize_fill(&mut self.slot_sum, n, 0);
+    }
+
+    fn fold(&self, i: usize) -> AgentFold {
+        AgentFold {
+            psi: self.psi[i],
+            distinct: self.distinct[i],
+            multi: self.multi[i],
+            slot_sum: self.slot_sum[i],
+        }
+    }
+
+    fn store(&mut self, i: usize, fold: AgentFold) {
+        self.psi[i] = fold.psi;
+        self.distinct[i] = fold.distinct;
+        self.multi[i] = fold.multi;
+        self.slot_sum[i] = fold.slot_sum;
     }
 }
 
@@ -661,7 +659,7 @@ mod tests {
         for (n, seed) in [(300usize, 0u64), (150, 1), (300, 2)] {
             let run = noiseless_run(n, 4, 250, seed);
             let fresh = decoder.scores(&run);
-            let reused = decoder.scores_using(&run, &mut ws);
+            let reused = decoder.scores_with(&run, &ScoreOptions::default(), &mut ws);
             assert!(
                 fresh
                     .iter()
@@ -735,6 +733,15 @@ mod tests {
         assert!(aware_hits >= 4, "noise-aware centering should succeed here");
     }
 
+    /// Default-decoder scores under the given fold.
+    fn folded(run: &Run, fold: Fold<'_>) -> Vec<f64> {
+        let options = ScoreOptions {
+            fold,
+            ..ScoreOptions::default()
+        };
+        GreedyDecoder::new().scores_with(run, &options, &mut GreedyWorkspace::new())
+    }
+
     /// Rebuilds `run` with the given (e.g. tampered) result vector.
     fn with_results(run: &Run, results: Vec<f64>) -> Run {
         run.instance()
@@ -749,7 +756,7 @@ mod tests {
         let run = noiseless_run(200, 3, 150, 9);
         let decoder = GreedyDecoder::new();
         let raw = decoder.scores(&run);
-        let win = decoder.scores_winsorized(&run);
+        let win = folded(&run, Fold::Winsorize);
         assert!(raw
             .iter()
             .zip(&win)
@@ -765,7 +772,7 @@ mod tests {
         let bad = with_results(&run, tampered.clone());
 
         let decoder = GreedyDecoder::new();
-        let win = decoder.scores_winsorized(&bad);
+        let win = folded(&bad, Fold::Winsorize);
         assert_ne!(win, decoder.scores(&bad), "clamp never engaged");
 
         // Winsorizing is exactly "clamp first, then fold": pre-clamping the
@@ -788,7 +795,7 @@ mod tests {
         let m = run.results().len();
 
         // An all-clear mask is the identity.
-        let all_clear = decoder.scores_trimmed(&run, &vec![false; m]);
+        let all_clear = folded(&run, Fold::Exclude(&vec![false; m]));
         assert!(decoder
             .scores(&run)
             .iter()
@@ -800,11 +807,11 @@ mod tests {
         let mut exclude = vec![false; m];
         exclude[3] = true;
         exclude[77] = true;
-        let clean = decoder.scores_trimmed(&run, &exclude);
+        let clean = folded(&run, Fold::Exclude(&exclude));
         let mut tampered = run.results().to_vec();
         tampered[3] = f64::MAX / 4.0;
         tampered[77] = -1e9;
-        let garbled = decoder.scores_trimmed(&with_results(&run, tampered), &exclude);
+        let garbled = folded(&with_results(&run, tampered), Fold::Exclude(&exclude));
         assert!(clean
             .iter()
             .zip(&garbled)
@@ -815,10 +822,31 @@ mod tests {
     }
 
     #[test]
+    fn non_finite_results_fold_like_excluded_queries() {
+        let run = noiseless_run(64, 2, 60, 5);
+        let m = run.results().len();
+        let mut exclude = vec![false; m];
+        let mut tampered = run.results().to_vec();
+        for (j, bad) in [(4, f64::NAN), (9, f64::INFINITY), (30, f64::NEG_INFINITY)] {
+            exclude[j] = true;
+            tampered[j] = bad;
+        }
+        let bad = with_results(&run, tampered);
+        let skipped = GreedyDecoder::new().scores(&bad);
+        assert!(skipped.iter().all(|s| s.is_finite()));
+        let trimmed = folded(&run, Fold::Exclude(&exclude));
+        assert!(skipped
+            .iter()
+            .zip(&trimmed)
+            .all(|(a, b)| a.to_bits() == b.to_bits()));
+        assert_eq!(GreedyDecoder::new().decode(&bad).k(), 2);
+    }
+
+    #[test]
     #[should_panic(expected = "exclusion mask length")]
     fn trimmed_scores_reject_wrong_mask_length() {
         let run = noiseless_run(50, 2, 40, 1);
-        GreedyDecoder::new().scores_trimmed(&run, &[false; 3]);
+        folded(&run, Fold::Exclude(&[false; 3]));
     }
 
     #[test]

@@ -22,8 +22,10 @@
 //! Algorithm 1 (the *noisy maximum neighborhood* rule): each query sends its
 //! result once to every distinct member; agent `i` accumulates the
 //! neighborhood sum `Ψᵢ` and its distinct degree `Δ*ᵢ`, and the `k` agents
-//! with the largest scores `Ψᵢ − Δ*ᵢ·k/2` declare bit one. Three
-//! implementations are provided, all bit-identical in their output:
+//! with the largest scores `Ψᵢ − Δ*ᵢ·k/2` declare bit one (by default the
+//! implementations rank by the noise-aware [`Centering`], whose noiseless
+//! limit this is). Three implementations are provided, all bit-identical
+//! in their output:
 //!
 //! * [`GreedyDecoder`] — the sequential reference decoder;
 //! * [`distributed::run_protocol`] — the full message-passing protocol on
@@ -92,7 +94,9 @@ pub use design::{
     QueryMultiset, Sampling, SparseColumnDesign, SpatiallyCoupledDesign,
 };
 pub use evaluate::{confusion, exact_recovery, hamming_distance, overlap, separation, Confusion};
-pub use greedy::{Centering, Decoder, Estimate, GreedyDecoder, GreedyWorkspace};
+pub use greedy::{
+    Centering, Decoder, Estimate, Fold, GreedyDecoder, GreedyWorkspace, ScoreOptions,
+};
 pub use incremental::{IncrementalSim, RequiredQueries};
 pub use model::{GroundTruth, Instance, InstanceBuilder, InstanceError, Regime, Run};
 pub use noise::NoiseModel;

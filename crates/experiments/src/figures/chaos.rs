@@ -117,7 +117,8 @@ pub fn run(opts: &RunOptions) -> FigureReport {
                         winsorize: axis == Axis::Corrupt,
                         ..distributed::ProtocolOptions::default()
                     };
-                    let outcome = distributed::run_protocol_chaos(&run, options)
+                    let off = distributed::TelemetrySink::off();
+                    let outcome = distributed::run_protocol(&run, options, &off)
                         .expect("chaos protocol completes within its budget");
                     (
                         overlap(&outcome.estimate, run.ground_truth()),

@@ -14,7 +14,7 @@ use crate::mix_seed;
 use crate::output::table;
 use npd_amp::cost::DistributedAmpCost;
 use npd_amp::AmpDecoder;
-use npd_core::distributed::SelectionStrategy;
+use npd_core::distributed::{ProtocolOptions, SelectionStrategy, TelemetrySink};
 use npd_core::{distributed, Instance, NoiseModel, Regime};
 use npd_netsim::gossip::push_sum_report_on;
 use npd_netsim::Topology;
@@ -53,7 +53,9 @@ pub fn run(opts: &RunOptions) -> FigureReport {
     let mut rng = StdRng::seed_from_u64(mix_seed(0xC033, n as u64));
     let run = instance.sample(&mut rng);
 
-    let outcome = distributed::run_protocol(&run).expect("protocol quiesces");
+    let off = TelemetrySink::off();
+    let outcome = distributed::run_protocol(&run, ProtocolOptions::default(), &off)
+        .expect("protocol quiesces");
     let (_, amp_trace) = AmpDecoder::default().decode_with_trace(&run);
 
     let edges: u64 = run
@@ -69,8 +71,11 @@ pub fn run(opts: &RunOptions) -> FigureReport {
     // sorting network (strategy `GossipThreshold`), and every agent
     // decides its own bit — no assignment traffic, no sorting-network
     // schedule. The estimate is bit-identical to the Batcher path.
-    let gossip = distributed::run_protocol_with(&run, SelectionStrategy::gossip())
-        .expect("gossip protocol quiesces");
+    let options = ProtocolOptions {
+        strategy: SelectionStrategy::gossip(),
+        ..ProtocolOptions::default()
+    };
+    let gossip = distributed::run_protocol(&run, options, &off).expect("gossip protocol quiesces");
     assert_eq!(gossip.estimate, outcome.estimate);
     let gossip_messages = gossip.metrics.messages_sent;
     let gossip_rounds = gossip.rounds;

@@ -662,7 +662,7 @@ pub fn run(scenario: &Scenario, opts: &RunOptions) -> FigureReport {
 ///
 /// Dispatch mirrors the measurement kinds: distributed scenarios run the
 /// full protocol through
-/// [`distributed::run_protocol_chaos_traced`] (phase events, netsim
+/// [`distributed::run_protocol`] (phase events, netsim
 /// round spans, counter dump), categorical scenarios run
 /// [`npd_amp::matrix_amp::run_matrix_amp_traced`], and batch scenarios
 /// attach the sink to the decoder's workspace (AMP iterations, BP
@@ -678,7 +678,7 @@ pub fn run_traced(
     sink: &npd_telemetry::TelemetrySink,
 ) -> String {
     use npd_amp::AmpWorkspace;
-    use npd_core::GreedyWorkspace;
+    use npd_core::{GreedyWorkspace, ScoreOptions};
     use npd_decoders::BpWorkspace;
 
     let n = scenario.grid(opts.mode)[0];
@@ -711,7 +711,7 @@ pub fn run_traced(
             winsorize: scenario.chaos.is_some_and(|c| c.corrupt_frac > 0.0),
             ..distributed::ProtocolOptions::default()
         };
-        let outcome = distributed::run_protocol_chaos_traced(&run, options, sink)
+        let outcome = distributed::run_protocol(&run, options, sink)
             .expect("protocol terminates within its budget");
         return format!(
             "{} n={n} m={m} rounds={} messages={}",
@@ -777,7 +777,7 @@ pub fn run_traced(
         _ => {
             let mut ws = GreedyWorkspace::new();
             ws.set_telemetry(sink.clone());
-            let scores = GreedyDecoder::new().scores_using(&run, &mut ws);
+            let scores = GreedyDecoder::new().scores_with(&run, &ScoreOptions::default(), &mut ws);
             format!("greedy n={n} m={m} scored={}", scores.len())
         }
     }
@@ -1176,7 +1176,8 @@ fn run_protocol_cost(scenario: &Scenario, opts: &RunOptions) -> FigureReport {
                 winsorize: scenario.chaos.is_some_and(|c| c.corrupt_frac > 0.0),
                 ..distributed::ProtocolOptions::default()
             };
-            let outcome = distributed::run_protocol_chaos(&run, options)
+            let off = distributed::TelemetrySink::off();
+            let outcome = distributed::run_protocol(&run, options, &off)
                 .expect("protocol terminates within its budget");
             let exact = f64::from(exact_recovery(&outcome.estimate, run.ground_truth()));
             let ov = overlap(&outcome.estimate, run.ground_truth());

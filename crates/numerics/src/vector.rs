@@ -118,7 +118,7 @@ pub fn max_abs_diff(x: &[f64], y: &[f64]) -> f64 {
 }
 
 /// Indices of the `k` largest entries of `x`, ties broken toward the smaller
-/// index (deterministic).
+/// index (deterministic). NaN entries rank after every number.
 ///
 /// This is the rank-selection step of the greedy decoder: the `k` agents with
 /// the highest neighborhood scores are declared to hold bit one.
@@ -136,9 +136,12 @@ pub fn max_abs_diff(x: &[f64], y: &[f64]) -> f64 {
 pub fn top_k_indices(x: &[f64], k: usize) -> Vec<usize> {
     assert!(k <= x.len(), "top_k_indices: k={} > len={}", k, x.len());
     let mut order: Vec<usize> = (0..x.len()).collect();
+    // Numbers first (descending), then NaNs; `partial_cmp` is total on
+    // the numbers and two NaNs compare equal, so this is a total order.
     order.sort_by(|&a, &b| {
-        x[b].partial_cmp(&x[a])
-            .unwrap_or(std::cmp::Ordering::Equal)
+        x[a].is_nan()
+            .cmp(&x[b].is_nan())
+            .then_with(|| x[b].partial_cmp(&x[a]).unwrap_or(std::cmp::Ordering::Equal))
             .then(a.cmp(&b))
     });
     let mut out: Vec<usize> = order.into_iter().take(k).collect();
@@ -243,6 +246,24 @@ mod tests {
         let x = [1.0, 2.0];
         assert!(top_k_indices(&x, 0).is_empty());
         assert_eq!(top_k_indices(&x, 2), vec![0, 1]);
+    }
+
+    #[test]
+    fn top_k_ranks_nan_after_every_number() {
+        // Long enough that the standard sort leaves insertion sort and
+        // checks the comparator's total order.
+        let x: Vec<f64> = (0..64)
+            .map(|i| if i % 3 == 0 { f64::NAN } else { f64::from(i) })
+            .collect();
+        assert_eq!(top_k_indices(&x, 3), vec![59, 61, 62]);
+        let numbers = x.iter().filter(|v| !v.is_nan()).count();
+        let top = top_k_indices(&x, numbers);
+        assert!(
+            top.iter().all(|&i| !x[i].is_nan()),
+            "a NaN outranked a number"
+        );
+        assert_eq!(top_k_indices(&x, x.len()).len(), x.len());
+        assert_eq!(top_k_indices(&[f64::NAN, 1.0, f64::NAN], 2), vec![0, 1]);
     }
 
     #[test]

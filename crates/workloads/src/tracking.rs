@@ -181,10 +181,15 @@ pub fn track_protocol(
                 .assemble(truth.clone(), graph, results)
                 // xtask:allow(unwrap-audit): graph and results were just sampled from this very instance's parameters
                 .expect("assembled parts match the instance");
+            let options = distributed::ProtocolOptions {
+                strategy,
+                ..distributed::ProtocolOptions::default()
+            };
             #[allow(clippy::expect_used)]
-            let outcome = distributed::run_protocol_configured(&run, strategy, None)
-                // xtask:allow(unwrap-audit): fault-free budget bound is proven by the protocol round-budget tests
-                .expect("fault-free protocol terminates within its budget");
+            let outcome =
+                distributed::run_protocol(&run, options, &distributed::TelemetrySink::off())
+                    // xtask:allow(unwrap-audit): fault-free budget bound is proven by the protocol round-budget tests
+                    .expect("fault-free protocol terminates within its budget");
             let (overlap, exact) = overlap_or_trivial(&outcome.estimate, &truth);
             EpochReport {
                 epoch,

@@ -6,8 +6,10 @@
 //! cargo run --release --example decentralized_topk
 //! ```
 
-use noisy_pooled_data::core::distributed::SelectionStrategy;
-use noisy_pooled_data::core::{distributed, exact_recovery, Instance, NoiseModel};
+use noisy_pooled_data::core::distributed::{
+    run_protocol, ProtocolOptions, SelectionStrategy, TelemetrySink,
+};
+use noisy_pooled_data::core::{exact_recovery, Instance, NoiseModel};
 use noisy_pooled_data::netsim::gossip::push_sum_average;
 use rand::SeedableRng;
 
@@ -22,7 +24,8 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
 
     // Variant A: the paper's protocol — measurements, then a Batcher
     // sorting network ranks the agents.
-    let outcome = distributed::run_protocol(&run)?;
+    let off = TelemetrySink::off();
+    let outcome = run_protocol(&run, ProtocolOptions::default(), &off)?;
     println!(
         "sorting-network protocol: {} messages, {} rounds, exact = {}",
         outcome.metrics.messages_sent,
@@ -34,7 +37,11 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     // gossip threshold bisection — agents learn only their own bit, no
     // sorting network is ever built, and the bisection stops as soon as
     // the k-th score is isolated (or only exact ties remain).
-    let gossip = distributed::run_protocol_with(&run, SelectionStrategy::gossip())?;
+    let options = ProtocolOptions {
+        strategy: SelectionStrategy::gossip(),
+        ..ProtocolOptions::default()
+    };
+    let gossip = run_protocol(&run, options, &off)?;
     println!(
         "gossip-threshold protocol: {} messages, {} rounds ({} adaptive probes), \
          matches sorting network = {}",

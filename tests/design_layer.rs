@@ -3,9 +3,10 @@
 //! decoders, and the distributed protocol unchanged.
 
 use noisy_pooled_data::amp::AmpDecoder;
+use noisy_pooled_data::core::distributed::{run_protocol, ProtocolOptions, TelemetrySink};
 use noisy_pooled_data::core::{
-    distributed, exact_recovery, Decoder, DesignSpec, DoublyRegularDesign, GreedyDecoder, Instance,
-    NoiseModel, PoolingDesign, PoolingGraph, SparseColumnDesign, TwoStepDecoder,
+    exact_recovery, Decoder, DesignSpec, DoublyRegularDesign, GreedyDecoder, Instance, NoiseModel,
+    PoolingDesign, PoolingGraph, SparseColumnDesign, TwoStepDecoder,
 };
 use rand::rngs::StdRng;
 use rand::SeedableRng;
@@ -53,7 +54,8 @@ fn doubly_regular_runs_decode_and_match_the_distributed_protocol() {
             exact_recovery(&sequential, run.ground_truth()),
             "seed={seed}: doubly regular design failed a generous budget"
         );
-        let outcome = distributed::run_protocol(&run).expect("quiesces");
+        let outcome = run_protocol(&run, ProtocolOptions::default(), &TelemetrySink::off())
+            .expect("quiesces");
         assert_eq!(outcome.estimate, sequential, "seed={seed}");
     }
 }

@@ -9,7 +9,7 @@
 
 use noisy_pooled_data::amp::{AmpDecoder, AmpWorkspace};
 use noisy_pooled_data::core::{
-    distributed, GreedyDecoder, GreedyWorkspace, Instance, NoiseModel, Regime,
+    distributed, GreedyDecoder, GreedyWorkspace, Instance, NoiseModel, Regime, ScoreOptions,
 };
 use noisy_pooled_data::decoders::{BpDecoder, BpWorkspace};
 use noisy_pooled_data::experiments::figures::{fig6, fig7};
@@ -17,6 +17,7 @@ use noisy_pooled_data::experiments::sweep::{required_queries_grid, SweepCell};
 use noisy_pooled_data::experiments::{mix_seed, runner};
 use noisy_pooled_data::netsim::gossip::PushSumNode;
 use noisy_pooled_data::netsim::{FaultConfig, Metrics, Network, NodeId, Topology};
+use noisy_pooled_data::telemetry::TelemetrySink;
 use rand::rngs::StdRng;
 use rand::SeedableRng;
 
@@ -104,7 +105,7 @@ fn greedy_workspace_path_matches_one_shot() {
     for seed in 0..5u64 {
         let run = sample_run(400, 5, 300, NoiseModel::channel(0.1, 0.05), seed);
         let fresh = decoder.scores(&run);
-        let reused = decoder.scores_using(&run, &mut ws);
+        let reused = decoder.scores_with(&run, &ScoreOptions::default(), &mut ws);
         assert!(
             fresh
                 .iter()
@@ -323,7 +324,8 @@ fn chaos_protocol_is_identical_across_thread_counts() {
         .num_threads(1)
         .build()
         .unwrap();
-    let reference = pool1.install(|| distributed::run_protocol_chaos(&run, options).unwrap());
+    let chaos = || distributed::run_protocol(&run, options, &TelemetrySink::off()).unwrap();
+    let reference = pool1.install(chaos);
     assert!(reference.metrics.node_crashes > 0, "no crashes drawn");
     assert!(
         reference.metrics.messages_corrupted > 0,
@@ -339,11 +341,7 @@ fn chaos_protocol_is_identical_across_thread_counts() {
             .num_threads(threads)
             .build()
             .unwrap();
-        assert_eq!(
-            pool.install(|| distributed::run_protocol_chaos(&run, options).unwrap()),
-            reference,
-            "threads={threads}"
-        );
+        assert_eq!(pool.install(chaos), reference, "threads={threads}");
     }
 }
 
@@ -358,20 +356,27 @@ fn distributed_protocol_is_identical_across_thread_counts() {
         .num_threads(1)
         .build()
         .unwrap();
-    let clean_ref = pool1.install(|| distributed::run_protocol(&run).unwrap());
-    let faulty_ref = pool1.install(|| distributed::run_protocol_with_faults(&run, faults).unwrap());
+    let protocol = |faults: Option<FaultConfig>| {
+        let options = distributed::ProtocolOptions {
+            faults,
+            ..distributed::ProtocolOptions::default()
+        };
+        distributed::run_protocol(&run, options, &TelemetrySink::off()).unwrap()
+    };
+    let clean_ref = pool1.install(|| protocol(None));
+    let faulty_ref = pool1.install(|| protocol(Some(faults)));
     for threads in [2usize, 4] {
         let pool = rayon::ThreadPoolBuilder::new()
             .num_threads(threads)
             .build()
             .unwrap();
         assert_eq!(
-            pool.install(|| distributed::run_protocol(&run).unwrap()),
+            pool.install(|| protocol(None)),
             clean_ref,
             "threads={threads}"
         );
         assert_eq!(
-            pool.install(|| distributed::run_protocol_with_faults(&run, faults).unwrap()),
+            pool.install(|| protocol(Some(faults))),
             faulty_ref,
             "threads={threads} (faulty)"
         );
@@ -383,11 +388,16 @@ fn distributed_protocol_is_identical_across_thread_counts() {
 /// accounting — at any thread count, clean and faulted.
 #[test]
 fn gossip_strategy_protocol_is_identical_across_thread_counts() {
-    use noisy_pooled_data::core::distributed::SelectionStrategy;
+    use noisy_pooled_data::core::distributed::{ProtocolOptions, SelectionStrategy};
     let run = sample_run(128, 3, 100, NoiseModel::z_channel(0.1), 32);
     let faults = FaultConfig::new(0.02, 0.05, 11).unwrap().with_max_delay(2);
     let gossip = |faults: Option<FaultConfig>| {
-        distributed::run_protocol_configured(&run, SelectionStrategy::gossip(), faults).unwrap()
+        let options = ProtocolOptions {
+            strategy: SelectionStrategy::gossip(),
+            faults,
+            ..ProtocolOptions::default()
+        };
+        distributed::run_protocol(&run, options, &TelemetrySink::off()).unwrap()
     };
     let pool1 = rayon::ThreadPoolBuilder::new()
         .num_threads(1)
@@ -596,7 +606,6 @@ fn workload_sampling_grid_is_identical_across_thread_counts() {
 fn protocol_telemetry_stream_is_identical_across_shard_and_thread_counts() {
     use noisy_pooled_data::core::distributed::{ProtocolOptions, SelectionStrategy};
     use noisy_pooled_data::netsim::NodeFaultPlan;
-    use noisy_pooled_data::telemetry::TelemetrySink;
 
     let run = sample_run(128, 3, 100, NoiseModel::z_channel(0.1), 34);
     let plan = NodeFaultPlan::new(0x7E1E)
@@ -618,7 +627,7 @@ fn protocol_telemetry_stream_is_identical_across_shard_and_thread_counts() {
                 shards: Some(shards),
                 ..ProtocolOptions::default()
             };
-            let outcome = distributed::run_protocol_chaos_traced(&run, options, &sink).unwrap();
+            let outcome = distributed::run_protocol(&run, options, &sink).unwrap();
             (sink.export_jsonl().unwrap(), outcome)
         })
     };

@@ -1,7 +1,8 @@
 //! The distributed protocol is bit-identical to the sequential decoder —
 //! the equivalence claimed in Section III of the paper.
 
-use noisy_pooled_data::core::{distributed, Decoder, GreedyDecoder, Instance, NoiseModel, Regime};
+use noisy_pooled_data::core::distributed::{run_protocol, ProtocolOptions, TelemetrySink};
+use noisy_pooled_data::core::{Decoder, GreedyDecoder, Instance, NoiseModel, Regime};
 use rand::rngs::StdRng;
 use rand::SeedableRng;
 
@@ -13,7 +14,8 @@ fn check_equivalence(n: usize, k: usize, m: usize, noise: NoiseModel, seed: u64)
         .build()
         .expect("valid instance")
         .sample(&mut StdRng::seed_from_u64(seed));
-    let outcome = distributed::run_protocol(&run).expect("protocol quiesces");
+    let outcome = run_protocol(&run, ProtocolOptions::default(), &TelemetrySink::off())
+        .expect("protocol quiesces");
     let sequential = GreedyDecoder::new().decode(&run);
     assert_eq!(
         outcome.estimate, sequential,
@@ -54,7 +56,7 @@ fn equivalence_in_linear_regime() {
         .build()
         .unwrap()
         .sample(&mut StdRng::seed_from_u64(77));
-    let outcome = distributed::run_protocol(&run).unwrap();
+    let outcome = run_protocol(&run, ProtocolOptions::default(), &TelemetrySink::off()).unwrap();
     assert_eq!(outcome.estimate, GreedyDecoder::new().decode(&run));
 }
 
@@ -67,7 +69,7 @@ fn round_complexity_is_logarithmic_squared() {
         .build()
         .unwrap()
         .sample(&mut StdRng::seed_from_u64(5));
-    let outcome = distributed::run_protocol(&run).unwrap();
+    let outcome = run_protocol(&run, ProtocolOptions::default(), &TelemetrySink::off()).unwrap();
     assert_eq!(outcome.sort_depth, 36); // t = 8: 8·9/2
     assert_eq!(outcome.rounds, 39);
 }
@@ -83,7 +85,7 @@ fn communication_grows_with_queries_not_rounds() {
             .build()
             .unwrap()
             .sample(&mut StdRng::seed_from_u64(9));
-        distributed::run_protocol(&run).unwrap()
+        run_protocol(&run, ProtocolOptions::default(), &TelemetrySink::off()).unwrap()
     };
     let small = mk(20);
     let large = mk(40);

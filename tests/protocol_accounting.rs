@@ -6,7 +6,7 @@
 //! The reconciliation identities pinned here:
 //!
 //! * every [`Metrics::as_rows`] row is dumped verbatim into the sink's
-//!   counter registry by `run_protocol_chaos_traced`;
+//!   counter registry by `run_protocol`;
 //! * the protocol's phase split is exhaustive —
 //!   `measurement + selection + assign == messages_sent`;
 //! * the protocol-level outcome fields (`selection_messages`,
@@ -14,9 +14,7 @@
 //! * the fault pipeline conserves messages at quiescence
 //!   ([`Metrics::conserves`] with nothing in flight).
 
-use noisy_pooled_data::core::distributed::{
-    run_protocol_chaos_traced, ProtocolOptions, SelectionStrategy,
-};
+use noisy_pooled_data::core::distributed::{run_protocol, ProtocolOptions, SelectionStrategy};
 use noisy_pooled_data::core::{Instance, NoiseModel, Run};
 use noisy_pooled_data::netsim::FaultConfig;
 use noisy_pooled_data::telemetry::{MetricsSnapshot, TelemetrySink};
@@ -51,7 +49,7 @@ fn check_accounting(strategy: SelectionStrategy, faults: Option<FaultConfig>, la
         faults,
         ..ProtocolOptions::default()
     };
-    let outcome = run_protocol_chaos_traced(&run, options, &sink).unwrap();
+    let outcome = run_protocol(&run, options, &sink).unwrap();
     let snapshot = sink.snapshot().unwrap();
 
     // Every engine Metrics row is dumped verbatim into the registry.
@@ -179,7 +177,7 @@ fn duplication_and_delay_surface_as_stale_tokens_for_batcher() {
     // or delayed copies land as stale arrivals, which the outcome counts
     // instead of merging (the module docs' degradation contract).
     let run = sample_run(96, 3, 80, 78);
-    let clean = run_protocol_chaos_traced(
+    let clean = run_protocol(
         &run,
         ProtocolOptions::default(),
         &TelemetrySink::recording(),
@@ -187,7 +185,7 @@ fn duplication_and_delay_surface_as_stale_tokens_for_batcher() {
     .unwrap();
     assert_eq!(clean.stale_messages, 0, "clean run saw stale tokens");
 
-    let faulty = run_protocol_chaos_traced(
+    let faulty = run_protocol(
         &run,
         ProtocolOptions {
             faults: Some(chaos_faults()),
@@ -206,17 +204,16 @@ fn duplication_and_delay_surface_as_stale_tokens_for_batcher() {
 #[test]
 fn untraced_and_traced_runs_agree() {
     // The sink is pure observation: attaching it must not perturb the
-    // outcome. (`run_protocol_chaos` delegates with a disabled sink.)
-    use noisy_pooled_data::core::distributed::run_protocol_chaos;
+    // outcome.
     let run = sample_run(96, 3, 80, 79);
     let options = ProtocolOptions {
         strategy: SelectionStrategy::gossip(),
         faults: Some(chaos_faults()),
         ..ProtocolOptions::default()
     };
-    let untraced = run_protocol_chaos(&run, options).unwrap();
+    let untraced = run_protocol(&run, options, &TelemetrySink::off()).unwrap();
     let sink = TelemetrySink::recording();
-    let traced = run_protocol_chaos_traced(&run, options, &sink).unwrap();
+    let traced = run_protocol(&run, options, &sink).unwrap();
     assert_eq!(untraced, traced);
     assert!(sink.snapshot().unwrap().events > 0);
 }

@@ -2,8 +2,9 @@
 //! replacement) across the decoder implementations.
 
 use noisy_pooled_data::amp::AmpDecoder;
+use noisy_pooled_data::core::distributed::{run_protocol, ProtocolOptions, TelemetrySink};
 use noisy_pooled_data::core::{
-    distributed, exact_recovery, Decoder, GreedyDecoder, Instance, NoiseModel, Sampling,
+    exact_recovery, Decoder, GreedyDecoder, Instance, NoiseModel, Sampling,
 };
 use rand::rngs::StdRng;
 use rand::SeedableRng;
@@ -35,7 +36,8 @@ fn both_designs_recover_with_generous_budgets() {
 #[test]
 fn distributed_protocol_handles_subset_designs() {
     let run = instance(Sampling::WithoutReplacement, 120).sample(&mut StdRng::seed_from_u64(5));
-    let outcome = distributed::run_protocol(&run).expect("quiesces");
+    let outcome =
+        run_protocol(&run, ProtocolOptions::default(), &TelemetrySink::off()).expect("quiesces");
     assert_eq!(outcome.estimate, GreedyDecoder::new().decode(&run));
     // Simple design: every measurement edge has multiplicity 1, so the
     // measurement traffic equals m·Γ exactly.

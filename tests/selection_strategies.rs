@@ -5,7 +5,9 @@
 //! which `GreedyDecoder` ranks by), including on score vectors riddled
 //! with exact ties and at the degenerate `k ∈ {0, n}`.
 
-use noisy_pooled_data::core::distributed::{self, SelectionStrategy};
+use noisy_pooled_data::core::distributed::{
+    run_protocol, ProtocolOptions, SelectionStrategy, TelemetrySink,
+};
 use noisy_pooled_data::core::{Decoder, Estimate, GreedyDecoder, Instance, NoiseModel};
 use noisy_pooled_data::netsim::gossip::select_top_k;
 use proptest::prelude::*;
@@ -15,6 +17,14 @@ use rand::SeedableRng;
 /// The sequential reference: bits of `Estimate::from_scores`.
 fn sequential_bits(scores: &[f64], k: usize) -> Vec<bool> {
     Estimate::from_scores(scores.to_vec(), k).bits().to_vec()
+}
+
+/// Protocol options selecting with the gossip strategy.
+fn gossip_options() -> ProtocolOptions {
+    ProtocolOptions {
+        strategy: SelectionStrategy::gossip(),
+        ..ProtocolOptions::default()
+    }
 }
 
 /// A small value pool with exact duplicates and near-ties one `f64` step
@@ -87,7 +97,7 @@ proptest! {
             .build()
             .unwrap()
             .sample(&mut StdRng::seed_from_u64(seed));
-        let outcome = distributed::run_protocol_with(&run, SelectionStrategy::gossip())
+        let outcome = run_protocol(&run, gossip_options(), &TelemetrySink::off())
             .expect("fault-free protocol quiesces");
         let sequential = GreedyDecoder::new().decode(&run);
         prop_assert_eq!(outcome.estimate, sequential);
@@ -98,25 +108,45 @@ proptest! {
 
 /// Both strategies, the standalone API and the sequential rule agree on
 /// one run — the four-way equivalence in a single place, including `k = n`
-/// (every agent infected) which the builder permits.
+/// (every agent infected) which the builder permits, and a run with a NaN
+/// query result, which every path skips like an excluded query.
 #[test]
 fn four_way_agreement_including_k_equals_n() {
-    for (n, k, m, noise, seed) in [
-        (40usize, 3usize, 60usize, NoiseModel::z_channel(0.2), 5u64),
-        (33, 33, 40, NoiseModel::Noiseless, 6),
-        (17, 1, 25, NoiseModel::gaussian(1.0), 7),
+    for (n, k, m, noise, seed, nan_at) in [
+        (40, 3, 60, NoiseModel::z_channel(0.2), 5, None),
+        (33, 33, 40, NoiseModel::Noiseless, 6, None),
+        (17, 1, 25, NoiseModel::gaussian(1.0), 7, None),
+        (64, 2, 60, NoiseModel::Noiseless, 5, Some(7)),
     ] {
-        let run = Instance::builder(n)
+        let instance = Instance::builder(n)
             .k(k)
             .queries(m)
             .noise(noise)
             .build()
-            .unwrap()
-            .sample(&mut StdRng::seed_from_u64(seed));
+            .unwrap();
+        let mut run = instance.sample(&mut StdRng::seed_from_u64(seed));
+        if let Some(j) = nan_at {
+            let mut results = run.results().to_vec();
+            results[j] = f64::NAN;
+            run = instance
+                .assemble(run.ground_truth().clone(), run.graph().clone(), results)
+                .unwrap();
+        }
         let decoder = GreedyDecoder::new();
         let sequential = decoder.decode(&run);
-        let batcher = distributed::run_protocol(&run).unwrap();
-        let gossip = distributed::run_protocol_with(&run, SelectionStrategy::gossip()).unwrap();
+        let off = TelemetrySink::off();
+        let batcher = run_protocol(&run, ProtocolOptions::default(), &off).unwrap();
+        let gossip = run_protocol(&run, gossip_options(), &off).unwrap();
+        for (path, est) in [
+            ("sequential", &sequential),
+            ("batcher", &batcher.estimate),
+            ("gossip", &gossip.estimate),
+        ] {
+            assert!(
+                est.scores().iter().all(|s| s.is_finite()),
+                "{path} n={n} k={k}: non-finite score"
+            );
+        }
         let standalone = select_top_k(&decoder.scores(&run), k);
         assert_eq!(batcher.estimate, sequential, "batcher n={n} k={k}");
         assert_eq!(gossip.estimate, sequential, "gossip n={n} k={k}");
