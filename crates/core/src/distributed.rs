@@ -84,6 +84,29 @@ pub use npd_telemetry::TelemetrySink;
 use std::sync::Arc;
 
 /// How phase II (top-`k` selection) of the protocol is executed.
+///
+/// Both strategies produce output bit-identical to the sequential decoder
+/// on fault-free networks (pinned by the equivalence tests).
+///
+/// # Examples
+///
+/// ```
+/// use npd_core::distributed::{run_protocol, ProtocolOptions, SelectionStrategy, TelemetrySink};
+/// use npd_core::Instance;
+/// use rand::SeedableRng;
+///
+/// let mut rng = rand::rngs::StdRng::seed_from_u64(5);
+/// let run = Instance::builder(64).k(2).queries(60).build().unwrap().sample(&mut rng);
+/// let off = TelemetrySink::off();
+/// let sorted = run_protocol(&run, ProtocolOptions::default(), &off).unwrap();
+/// let options = ProtocolOptions {
+///     strategy: SelectionStrategy::gossip(),
+///     ..ProtocolOptions::default()
+/// };
+/// let gossip = run_protocol(&run, options, &off).unwrap();
+/// assert_eq!(sorted.estimate, gossip.estimate);
+/// assert_eq!(gossip.sort_depth, 0); // no sorting network was built
+/// ```
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub enum SelectionStrategy {
     /// The paper's Batcher odd-even mergesort: `O(log² n)` rounds, two
@@ -740,22 +763,14 @@ fn garble_protocol_message(msg: &mut ProtocolMessage, entropy: u64) {
 /// # Examples
 ///
 /// ```
-/// use npd_core::distributed::{run_protocol, ProtocolOptions, SelectionStrategy, TelemetrySink};
+/// use npd_core::distributed::{run_protocol, ProtocolOptions, TelemetrySink};
 /// use npd_core::{Decoder, GreedyDecoder, Instance};
 /// use rand::SeedableRng;
 ///
 /// let mut rng = rand::rngs::StdRng::seed_from_u64(5);
 /// let run = Instance::builder(64).k(2).queries(60).build().unwrap().sample(&mut rng);
-/// let off = TelemetrySink::off();
-/// let sorted = run_protocol(&run, ProtocolOptions::default(), &off).unwrap();
-/// assert_eq!(sorted.estimate, GreedyDecoder::new().decode(&run));
-/// let options = ProtocolOptions {
-///     strategy: SelectionStrategy::gossip(),
-///     ..ProtocolOptions::default()
-/// };
-/// let gossip = run_protocol(&run, options, &off).unwrap();
-/// assert_eq!(sorted.estimate, gossip.estimate);
-/// assert_eq!(gossip.sort_depth, 0); // no sorting network was built
+/// let outcome = run_protocol(&run, ProtocolOptions::default(), &TelemetrySink::off()).unwrap();
+/// assert_eq!(outcome.estimate, GreedyDecoder::new().decode(&run));
 /// ```
 pub fn run_protocol(
     run: &Run,
