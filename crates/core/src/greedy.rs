@@ -1,7 +1,7 @@
 //! The sequential reference implementation of Algorithm 1.
 
 use crate::model::Run;
-use npd_numerics::vector::{resize_fill, top_k_indices};
+use npd_numerics::vector::{rank_order, resize_fill, top_k_indices};
 use serde::{Deserialize, Serialize};
 
 /// A reconstruction of the hidden bits, together with the scores that
@@ -236,7 +236,9 @@ impl GreedyDecoder {
         if ws.sink.is_enabled() && k > 0 && k < n {
             // The margin between the last selected and first rejected
             // score: the same deterministic ranking `from_scores` uses.
-            let ranked = top_k_indices(&scores, k + 1);
+            // `top_k_indices` returns its picks by index, so re-rank them.
+            let mut ranked = top_k_indices(&scores, k + 1);
+            ranked.sort_by(|&a, &b| rank_order(&scores, a, b));
             let margin = scores[ranked[k - 1]] - scores[ranked[k]];
             ws.sink.emit(|| {
                 npd_telemetry::Event::instant("greedy.scores")
@@ -317,16 +319,12 @@ impl GreedyDecoder {
         // Empirical per-query result variance: from any one agent's
         // viewpoint (conditioned on its own bit) a query result fluctuates
         // with both the channel noise and the second neighborhood, which is
-        // exactly what the realized spread of σ̂ measures.
-        let m = run.results().len().max(1) as f64;
-        let mean = run.results().iter().sum::<f64>() / m;
-        let var = (run
-            .results()
-            .iter()
-            .map(|r| (r - mean).powi(2))
-            .sum::<f64>()
-            / m)
-            .max(1e-9);
+        // exactly what the realized spread of σ̂ measures. Taken over the
+        // finite results only, the ones the fold admits.
+        let finite = || run.results().iter().filter(|r| r.is_finite());
+        let m = finite().count().max(1) as f64;
+        let mean = finite().sum::<f64>() / m;
+        let var = (finite().map(|r| (r - mean).powi(2)).sum::<f64>() / m).max(1e-9);
 
         let posterior = scores
             .iter()
@@ -840,6 +838,53 @@ mod tests {
             .zip(&trimmed)
             .all(|(a, b)| a.to_bits() == b.to_bits()));
         assert_eq!(GreedyDecoder::new().decode(&bad).k(), 2);
+    }
+
+    #[test]
+    fn posterior_keeps_the_prior_when_a_result_is_nan() {
+        // A NaN must not reach the result variance: `.max(1e-9)` floors a
+        // NaN variance, every evidence term then blows up, and the prior's
+        // log-odds vanish beside them.
+        let run = noiseless_run(64, 2, 60, 5);
+        let prior: Vec<f64> = (0..64)
+            .map(|i| if i % 2 == 0 { 0.2 } else { 0.01 })
+            .collect();
+        let largest = |post: &[f64]| post.iter().fold(0.0f64, |a, p| a.max(p.abs()));
+        let (_, clean) = GreedyDecoder::new().scores_with_posterior(&run, &prior);
+        let mut tampered = run.results().to_vec();
+        tampered[4] = f64::NAN;
+        let (_, post) =
+            GreedyDecoder::new().scores_with_posterior(&with_results(&run, tampered), &prior);
+        assert!(post.iter().all(|p| p.is_finite()), "{post:?}");
+        assert!(
+            largest(&post) <= 2.0 * largest(&clean),
+            "{} vs clean {}",
+            largest(&post),
+            largest(&clean)
+        );
+    }
+
+    #[test]
+    fn telemetry_margin_is_the_top_k_boundary_gap() {
+        for seed in 0..6 {
+            let run = noiseless_run(64, 3, 40, seed);
+            let sink = npd_telemetry::TelemetrySink::recording();
+            let mut ws = GreedyWorkspace::new();
+            ws.set_telemetry(sink.clone());
+            let scores = GreedyDecoder::new().scores_with(&run, &ScoreOptions::default(), &mut ws);
+            let events = sink.recorder().expect("recording sink").events();
+            let margin = events
+                .iter()
+                .find(|e| e.event.name == "greedy.scores")
+                .and_then(|e| e.event.fields.iter().find(|(name, _)| *name == "margin"))
+                .map(|(_, v)| *v)
+                .expect("greedy.scores carries a margin");
+            let mut sorted = scores.clone();
+            sorted.sort_by(|a, b| b.total_cmp(a));
+            let gap = sorted[2] - sorted[3];
+            assert_eq!(margin, npd_telemetry::FieldValue::F64(gap), "seed {seed}");
+            assert!(gap >= 0.0, "seed {seed}");
+        }
     }
 
     #[test]

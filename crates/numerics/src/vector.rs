@@ -136,17 +136,22 @@ pub fn max_abs_diff(x: &[f64], y: &[f64]) -> f64 {
 pub fn top_k_indices(x: &[f64], k: usize) -> Vec<usize> {
     assert!(k <= x.len(), "top_k_indices: k={} > len={}", k, x.len());
     let mut order: Vec<usize> = (0..x.len()).collect();
-    // Numbers first (descending), then NaNs; `partial_cmp` is total on
-    // the numbers and two NaNs compare equal, so this is a total order.
-    order.sort_by(|&a, &b| {
-        x[a].is_nan()
-            .cmp(&x[b].is_nan())
-            .then_with(|| x[b].partial_cmp(&x[a]).unwrap_or(std::cmp::Ordering::Equal))
-            .then(a.cmp(&b))
-    });
+    order.sort_by(|&a, &b| rank_order(x, a, b));
     let mut out: Vec<usize> = order.into_iter().take(k).collect();
     out.sort_unstable();
     out
+}
+
+/// The ranking [`top_k_indices`] selects by, as a comparator on indices of
+/// `x`: numbers first (descending), then NaNs, ties toward the smaller
+/// index.
+pub fn rank_order(x: &[f64], a: usize, b: usize) -> std::cmp::Ordering {
+    // `partial_cmp` is total on the numbers and two NaNs compare equal,
+    // so this is a total order.
+    x[a].is_nan()
+        .cmp(&x[b].is_nan())
+        .then_with(|| x[b].partial_cmp(&x[a]).unwrap_or(std::cmp::Ordering::Equal))
+        .then(a.cmp(&b))
 }
 
 #[cfg(test)]

@@ -1,21 +1,18 @@
 //! `contract-sync`: drift detection between ARCHITECTURE.md's contract
-//! section, the live rule registry, the workspace's escape hatches, and
-//! the README's scenario/repro references. See the table in [`super`].
+//! section, the live rule registry, and the README's scenario/repro
+//! references. See the table in [`super`].
 
 use std::fs;
 use std::path::Path;
 
 use crate::engine::Report;
-use crate::lexer::{self, AllowDirective, TokenKind};
+use crate::lexer::{self, TokenKind};
 use crate::rules::Finding;
 
 use super::live_rules;
 
-/// Workspace-level drift detection between the docs, the escape hatches,
-/// and the code. `allows` is every `xtask:allow` directive collected from
-/// the workspace walk (xtask's own sources excluded — they discuss the
-/// syntax in prose).
-pub fn contract_sync(root: &Path, allows: &[(String, AllowDirective)]) -> Vec<Report> {
+/// Workspace-level drift detection between the docs and the code.
+pub fn contract_sync(root: &Path) -> Vec<Report> {
     let mut reports = Vec::new();
     let live = live_rules();
     let finding = |file: &str, line: u32, message: String| Report {
@@ -45,8 +42,9 @@ pub fn contract_sync(root: &Path, allows: &[(String, AllowDirective)]) -> Vec<Re
                     "no `## Determinism and threading contract` section found".into(),
                 )),
                 Some((start_line, body)) => {
-                    // Numbered rules: contiguous 1..=max, max >= 10 (rule 9
-                    // = lint, rule 10 = analyze are the enforcement rules).
+                    // Numbered rules: contiguous 1..=max, max >= 10 (rules 9
+                    // and 10, token and parser rules, are the enforcement
+                    // rules).
                     let numbers = numbered_rules(body);
                     let max = numbers.iter().copied().max().unwrap_or(0);
                     for n in 1..=max {
@@ -64,8 +62,8 @@ pub fn contract_sync(root: &Path, allows: &[(String, AllowDirective)]) -> Vec<Re
                             *start_line,
                             format!(
                                 "contract documents {max} numbered rules; the static \
-                                 enforcement rules (9: lint, 10: analyze) must be kept \
-                                 in the document of record"
+                                 enforcement rules (9: token rules, 10: parser rules) \
+                                 must be kept in the document of record"
                             ),
                         ));
                     }
@@ -100,23 +98,7 @@ pub fn contract_sync(root: &Path, allows: &[(String, AllowDirective)]) -> Vec<Re
         }
     }
 
-    // (2) Every escape hatch in the workspace names a live rule.
-    for (file, a) in allows {
-        if !live.contains(&a.rule.as_str()) {
-            reports.push(finding(
-                file,
-                a.line,
-                format!(
-                    "`xtask:allow({})` names a rule the engine does not implement \
-                     (live: {})",
-                    a.rule,
-                    live.join(", ")
-                ),
-            ));
-        }
-    }
-
-    // (3) README scenario rows and repro targets still resolve.
+    // (2) README scenario rows and repro targets still resolve.
     let readme_path = "README.md";
     match fs::read_to_string(root.join(readme_path)) {
         Err(_) => reports.push(finding(readme_path, 1, "missing README.md".into())),

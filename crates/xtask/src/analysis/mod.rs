@@ -1,6 +1,7 @@
-//! Parser-level rules for `cargo run -p xtask -- analyze` (contract rule
-//! 10): checks that need item/fn structure rather than a flat token
-//! stream.
+//! Parser-level rules (contract rule 10): checks that need item/fn
+//! structure rather than a flat token stream. `cargo run -p xtask --
+//! analyze` runs them in the same pass as the token rules of
+//! [`crate::rules`].
 //!
 //! | rule | what it proves |
 //! |------|----------------|
@@ -8,7 +9,7 @@
 //! | `float-order` | no cross-item float reduction (`sum`/`product`/`fold`/`reduce` at chain level) inside a rayon adapter span; integer turbofish reductions are exempt, and the order-preserving `par_chunks_mut + for_each` row-chunk idiom never reduces across items in the first place |
 //! | `impl-purity` | `PoolingDesign` / `PopulationModel` / `NoiseModel` impls are pure in `(params, n, stream)`: no wall clock, thread observables, ambient RNGs, environment reads, or (interior-)mutable statics (contract rules 6–8) |
 //! | `clock-boundary` | real-time `Clock` impls (the telemetry wall-time plane) exist only in harness crates; library crates keep the deterministic `NullClock` default (contract rule 11) |
-//! | `contract-sync` | ARCHITECTURE.md's numbered contract rules, the documented rule bullets, every `xtask:allow` in the workspace, and every README scenario row / repro target still resolve against the live rule registry and the code |
+//! | `contract-sync` | ARCHITECTURE.md's numbered contract rules, the documented rule bullets, and every README scenario row / repro target still resolve against the live rule registry and the code (a directive naming an unknown rule is an `allow-audit` finding of its own file) |
 //!
 //! Design notes on false positives the rules deliberately tolerate:
 //!
@@ -39,7 +40,7 @@ use crate::lexer::{self, Token, TokenKind};
 use crate::parser::ParsedFile;
 use crate::rules::{FileContext, FileKind, Finding, PAR_ADAPTERS, RULE_NAMES};
 
-/// The analyzer's rule names, for directive validation and `--json`
+/// The parser-level rule names, for directive validation and `--json`
 /// output. `contract-sync` findings are workspace-level and cannot be
 /// suppressed with an allow.
 pub const ANALYZE_RULE_NAMES: &[&str] = &[
@@ -50,7 +51,7 @@ pub const ANALYZE_RULE_NAMES: &[&str] = &[
     "contract-sync",
 ];
 
-/// Whether `analyze`'s file rules apply to this crate at all. The
+/// Whether the parser-level file rules apply to this crate at all. The
 /// vendored compat tree exists to *wrap* nondeterminism, `bench` is the
 /// timing harness, and xtask's own sources discuss the rules in prose.
 pub fn analyzed_crate(ctx: &FileContext) -> bool {
@@ -103,19 +104,16 @@ impl FnDb {
     }
 }
 
-/// Runs the four file-level analyzer rules over one parsed file.
-/// (`contract-sync` is workspace-level; see [`contract_sync`].)
+/// Runs the four file-level parser rules over one parsed file, test-like
+/// files included. (`contract-sync` is workspace-level; see
+/// [`contract_sync`].)
 pub fn check_file(
     ctx: &FileContext,
     lexed: &lexer::Lexed,
     parsed: &ParsedFile,
     db: &FnDb,
-    include_harness: bool,
 ) -> Vec<Finding> {
     if !analyzed_crate(ctx) {
-        return Vec::new();
-    }
-    if ctx.kind == FileKind::TestLike && !include_harness {
         return Vec::new();
     }
     let toks = &lexed.tokens;
@@ -179,7 +177,8 @@ pub(super) fn par_span_end(toks: &[Token], i: usize) -> usize {
     end
 }
 
-/// Every rule name the combined `lint` + `analyze` engine implements.
+/// Every rule name the engine implements: token rules, parser rules,
+/// and the directive audit.
 pub fn live_rules() -> Vec<&'static str> {
     let mut all: Vec<&'static str> = RULE_NAMES.to_vec();
     all.extend_from_slice(ANALYZE_RULE_NAMES);

@@ -1,6 +1,6 @@
 //! `xtask` — workspace automation for the noisy-pooled-data repo.
 //!
-//! Two subcommands statically enforce the determinism contract of
+//! One subcommand statically enforces the determinism contract of
 //! `docs/ARCHITECTURE.md`: the dynamic replay suite
 //! (`tests/determinism.rs`) samples a handful of pinned (scenario, seed)
 //! points, but a hazard like unordered `HashMap` iteration can pass every
@@ -8,22 +8,21 @@
 //! contract into a machine-checked property:
 //!
 //! ```text
-//! cargo run -p xtask -- lint               # token-level rules (contract rule 9)
-//! cargo run -p xtask -- analyze            # parser-level rules (contract rule 10)
-//! cargo run -p xtask -- <cmd> --json       # machine-readable report (schema 1)
-//! cargo run -p xtask -- <cmd> <paths>      # check specific files (strict context)
-//! cargo run -p xtask -- <cmd> --include-harness <paths>   # pinning-test scope
+//! cargo run -p xtask -- analyze           # whole workspace (contract rules 9 and 10)
+//! cargo run -p xtask -- analyze --json    # machine-readable report (schema 1)
+//! cargo run -p xtask -- analyze <paths>   # check specific files (strict context)
 //! ```
 //!
-//! `lint` walks a flat token stream: see [`rules`] for its five rules and
-//! their scopes, and [`lexer`] for the hand-rolled tokenizer that keeps
-//! comments/strings from producing false positives. `analyze` recovers
-//! item/fn structure on top of the same lexer — see [`parser`] — and runs
-//! the cross-statement rules of [`analysis`]: RNG-stream provenance,
-//! parallel float-reduction order, trait-impl purity, and the
-//! `contract-sync` drift check between ARCHITECTURE.md, the escape
-//! hatches, and the code. [`engine`] owns the shared walking, suppression
-//! (`// xtask:allow(rule): reason`) and report rendering.
+//! Each file is lexed once by the hand-rolled tokenizer of [`lexer`],
+//! which keeps comments/strings from producing false positives, and
+//! parsed once into item/fn structure by [`parser`]. The token rules of
+//! [`rules`] and the cross-statement rules of [`analysis`] (RNG-stream
+//! provenance, parallel float-reduction order, trait-impl purity, the
+//! clock boundary, and the `contract-sync` drift check between
+//! ARCHITECTURE.md, the README and the code) run on that one walk.
+//! Test, bench and example files always get the harness subset. [`engine`]
+//! owns the walking, suppression (`// xtask:allow(rule): reason`) and
+//! report rendering.
 
 #![warn(missing_docs)]
 

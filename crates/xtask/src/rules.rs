@@ -15,9 +15,10 @@
 //! | `shared-rng` | deterministic crates | an outer RNG used inside a rayon closure splits its stream by scheduling order |
 //! | `unwrap-audit` | library crates | `.unwrap()`/`.expect()` in library code panics instead of degrading |
 //!
-//! Test code (`tests/`, `benches/`, `examples/`, `#[cfg(test)]` modules and
-//! `#[test]` functions) is exempt from every rule: it never runs inside a
-//! replayed experiment.
+//! Test code (`tests/`, `benches/`, `examples/`) is checked only for the
+//! harness subset (`hash-iteration`, `wall-clock`); `#[cfg(test)]` modules
+//! and `#[test]` functions inside library files are exempt from every
+//! rule: they never run inside a replayed experiment.
 
 use crate::lexer::{Lexed, Token, TokenKind};
 
@@ -66,7 +67,7 @@ pub const RULE_NAMES: &[&str] = &[
 pub enum FileKind {
     /// Ships in a library or binary (`src/`).
     Lib,
-    /// Test, bench or example code — exempt from all rules.
+    /// Test, bench or example code — checked for the harness subset only.
     TestLike,
 }
 
@@ -154,12 +155,13 @@ pub struct Finding {
     pub message: String,
 }
 
-/// Runs every applicable rule over one lexed file.
+/// Runs every applicable rule over one lexed file: the harness subset
+/// for test-like files, the crate's scoped rules otherwise.
 pub fn check_file(ctx: &FileContext, lexed: &Lexed) -> Vec<Finding> {
-    if ctx.kind == FileKind::TestLike || ctx.crate_name == "xtask" {
-        return Vec::new();
-    }
     let toks = &lexed.tokens;
+    if ctx.kind == FileKind::TestLike {
+        return check_harness(toks);
+    }
     let test_regions = test_regions(toks);
     let mut findings = Vec::new();
 
@@ -418,14 +420,13 @@ fn unwrap_audit(toks: &[Token], out: &mut Vec<Finding>) {
     }
 }
 
-/// The opt-in `--include-harness` scope: ordering hazards that matter even
-/// in test/bench/example code. The determinism-pinning tests are themselves
+/// The harness subset: ordering hazards that matter even in
+/// test/bench/example code. The determinism-pinning tests are themselves
 /// part of the replay contract — a pinned fingerprint computed by iterating
 /// a `HashMap`, or an assertion ordered by wall-clock, flakes exactly the
 /// way the contract forbids. Harness code keeps its exemption from the
 /// library-hygiene rules (`unwrap-audit`, `shared-rng` heuristics).
-pub fn check_harness(lexed: &Lexed) -> Vec<Finding> {
-    let toks = &lexed.tokens;
+fn check_harness(toks: &[Token]) -> Vec<Finding> {
     let mut findings = Vec::new();
     hash_iteration(toks, &mut findings);
     wall_clock(toks, &mut findings);

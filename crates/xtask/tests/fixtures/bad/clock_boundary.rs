@@ -8,7 +8,8 @@
 //! (crate `core`, a library crate), so every real-time read inside an
 //! `impl Clock` body is a boundary violation. `SteadyClock` at the
 //! bottom is the sanctioned library shape — a constant — and must stay
-//! clean.
+//! clean. The token rule `wall-clock` also fires, three times: on the
+//! `use`, `Instant::now` and `SystemTime::now`.
 
 use std::time::{Instant, SystemTime, UNIX_EPOCH};
 

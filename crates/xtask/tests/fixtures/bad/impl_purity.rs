@@ -5,7 +5,8 @@
 //! 3. a mutable static touched from a `NoiseModel` impl
 //!
 //! None of the methods takes an RNG parameter, so these are pure
-//! `impl-purity` findings with no `rng-provenance` overlap.
+//! `impl-purity` findings with no `rng-provenance` overlap. The token rule
+//! `wall-clock` also fires twice: on the `SystemTime` import and read.
 
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::time::SystemTime;

@@ -4,6 +4,8 @@
 //! 2. an ambient `thread_rng` read inside an RNG-taking fn
 //! 3. an RNG parameter captured directly by a rayon closure
 //! 4. a captured local handed to a callee's RNG position (FnDb cross-check)
+//!
+//! The token rule `shared-rng` also flags (3), whose capture is named `rng`.
 
 use rand::rngs::SmallRng;
 use rand::{Rng, SeedableRng};

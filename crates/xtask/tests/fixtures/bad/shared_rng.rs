@@ -1,6 +1,7 @@
 //! Fixture: one RNG stream consumed from inside rayon parallel closures.
 //! Both the `&mut`-capture and the direct method call must be flagged; the
-//! scheduling order decides which task draws which sample.
+//! scheduling order decides which task draws which sample. The parser rule
+//! `rng-provenance` also flags the `rng` parameter captured in `perturb`.
 
 pub fn scores(items: &[u64], rng: &mut SmallRng) -> Vec<f64> {
     let mut shared_rng = SmallRng::seed_from_u64(rng.next_u64());

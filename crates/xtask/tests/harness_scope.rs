@@ -1,10 +1,11 @@
-//! The `--include-harness` scope: determinism-pinning tests must not
-//! themselves use hash-iteration or wall-clock ordering, and the real
-//! harness files must pass that bar.
+//! The harness scope: test, bench and example files are always checked
+//! for the ordering hazards that matter in determinism-pinning tests
+//! (`hash-iteration`, `wall-clock`) and only for those.
 
 use std::path::{Path, PathBuf};
 
 use xtask::engine;
+use xtask::rules::{FileContext, FileKind, Finding};
 
 fn fixture(name: &str) -> PathBuf {
     Path::new(env!("CARGO_MANIFEST_DIR"))
@@ -19,74 +20,67 @@ fn root() -> PathBuf {
         .expect("workspace root exists")
 }
 
+/// Checks `path` the way the workspace walk checks a root `tests/` file.
+fn check_as_test(path: &Path) -> Vec<Finding> {
+    let ctx = FileContext {
+        crate_name: "noisy_pooled_data".to_string(),
+        kind: FileKind::TestLike,
+    };
+    let src = std::fs::read_to_string(path).expect("file readable");
+    engine::check_source(&ctx, &src).0
+}
+
 #[test]
 fn harness_scope_applies_hash_and_clock_rules_to_test_files() {
-    // Under the default scope an explicit path is linted as strict library
-    // code; under --include-harness it is linted as a test file, where
-    // only the ordering hazards that matter in pinning tests apply. The
-    // bad fixtures double as "test files" here.
-    let hash =
-        engine::lint_paths(&[fixture("bad/hash_iteration.rs")], true).expect("fixture readable");
-    assert!(
-        hash.reports
-            .iter()
-            .all(|r| r.finding.rule == "hash-iteration"),
-        "{:?}",
-        hash.reports
-    );
-    assert!(!hash.reports.is_empty());
+    // An explicit path is checked as strict library code; a test-like
+    // context gets only the harness subset. The bad fixtures double as
+    // "test files" here.
+    let hash = check_as_test(&fixture("bad/hash_iteration.rs"));
+    assert!(hash.iter().all(|f| f.rule == "hash-iteration"), "{hash:?}");
+    assert!(!hash.is_empty());
 
-    let clock =
-        engine::lint_paths(&[fixture("bad/wall_clock.rs")], true).expect("fixture readable");
-    assert!(
-        clock.reports.iter().all(|r| r.finding.rule == "wall-clock"),
-        "{:?}",
-        clock.reports
-    );
-    assert!(!clock.reports.is_empty());
+    let clock = check_as_test(&fixture("bad/wall_clock.rs"));
+    assert!(clock.iter().all(|f| f.rule == "wall-clock"), "{clock:?}");
+    assert!(!clock.is_empty());
 
     // Rules outside the harness subset must NOT apply to test files:
     // unwrap is the designed failure mode of a broken test.
-    let unwrap =
-        engine::lint_paths(&[fixture("bad/unwrap_audit.rs")], true).expect("fixture readable");
+    let unwrap = check_as_test(&fixture("bad/unwrap_audit.rs"));
     assert!(
-        unwrap.reports.is_empty(),
-        "unwrap-audit must not fire in harness scope: {:?}",
-        unwrap.reports
+        unwrap.is_empty(),
+        "unwrap-audit must not fire in harness scope: {unwrap:?}"
     );
 }
 
 #[test]
 fn pinning_test_files_pass_the_harness_bar() {
-    // The CI leg: the determinism replay suite and the static-contract
-    // pins are themselves free of ordering hazards, under both tools.
-    let targets = [
-        root().join("tests/determinism.rs"),
-        root().join("tests/static_contract.rs"),
-    ];
-    let lint = engine::lint_paths(&targets, true).expect("harness files readable");
-    assert!(
-        lint.reports.is_empty(),
-        "pinning tests use ordering hazards:\n{}",
-        engine::render_text(&lint, "lint")
-    );
-    let analyze = engine::analyze_paths(&targets, true).expect("harness files readable");
-    assert!(
-        analyze.reports.is_empty(),
-        "pinning tests fail analysis:\n{}",
-        engine::render_text(&analyze, "analyze")
-    );
+    // The determinism replay suite and the static-contract pins are
+    // themselves free of ordering hazards.
+    for rel in ["tests/determinism.rs", "tests/static_contract.rs"] {
+        let findings = check_as_test(&root().join(rel));
+        assert!(
+            findings.is_empty(),
+            "{rel} uses ordering hazards: {findings:?}"
+        );
+    }
 }
 
 #[test]
-fn whole_workspace_passes_the_harness_sweep() {
-    // Beyond the two pinned CI files, the full tree under
-    // --include-harness: every test/bench/example is free of the
-    // hash-iteration and wall-clock hazards.
-    let outcome = engine::lint_workspace(&root(), true).expect("workspace readable");
-    assert!(
-        outcome.reports.is_empty(),
-        "harness files use ordering hazards:\n{}",
-        engine::render_text(&outcome, "lint")
+fn workspace_walk_checks_test_files_without_a_flag() {
+    let outcome =
+        engine::check_workspace(&fixture("bad/harness_scope")).expect("fixture tree readable");
+    // The mini workspace has no docs, so `contract-sync` reports them
+    // missing; everything else is the pinning test's `HashMap`.
+    let file_findings: Vec<(&str, &str)> = outcome
+        .reports
+        .iter()
+        .filter(|r| r.finding.rule != "contract-sync")
+        .map(|r| (r.file.as_str(), r.finding.rule))
+        .collect();
+    assert_eq!(
+        file_findings,
+        [("tests/replay.rs", "hash-iteration")],
+        "{:?}",
+        outcome.reports
     );
 }
