@@ -1,10 +1,10 @@
-//! Fixture-driven self-tests of the parser-level analyzer, plus the
-//! workspace self-check: the real tree must analyze clean.
+//! The `xtask analyze` binary end to end: its exit codes and text report
+//! on the parser-rule fixtures, one schema-versioned JSON report for the
+//! token and the parser rule families, and the default workspace run
+//! that CI invokes. The per-rule fixture counts live in `tests/lint.rs`.
 
 use std::path::{Path, PathBuf};
 use std::process::Command;
-
-use xtask::engine::{self, LintOutcome};
 
 fn fixture(name: &str) -> PathBuf {
     Path::new(env!("CARGO_MANIFEST_DIR"))
@@ -12,150 +12,86 @@ fn fixture(name: &str) -> PathBuf {
         .join(name)
 }
 
-fn analyze(name: &str) -> LintOutcome {
-    engine::analyze_paths(&[fixture(name)], false).expect("fixture readable")
-}
-
-fn rules_hit(outcome: &LintOutcome) -> Vec<&str> {
-    let mut rules: Vec<&str> = outcome.reports.iter().map(|r| r.finding.rule).collect();
-    rules.sort_unstable();
-    rules.dedup();
-    rules
-}
-
-/// Runs the real `xtask` binary and returns (exit-success, stdout).
-fn run_binary(args: &[&str]) -> (bool, String) {
+/// Runs the real `xtask` binary in `dir` and returns (exit code, stdout).
+fn run_binary_in(dir: &Path, args: &[&str]) -> (Option<i32>, String) {
     let out = Command::new(env!("CARGO_BIN_EXE_xtask"))
+        .current_dir(dir)
         .args(args)
         .output()
         .expect("xtask binary runs");
     (
-        out.status.success(),
+        out.status.code(),
         String::from_utf8_lossy(&out.stdout).into_owned(),
     )
 }
 
-#[test]
-fn rng_provenance_fixture_is_flagged() {
-    let outcome = analyze("bad/rng_provenance.rs");
-    assert_eq!(rules_hit(&outcome), ["rng-provenance"]);
-    // Early return between draws, ambient thread_rng, direct closure
-    // capture, and the FnDb-resolved call-argument capture.
-    assert_eq!(outcome.reports.len(), 4, "{:?}", outcome.reports);
-    let messages: Vec<&str> = outcome
-        .reports
-        .iter()
-        .map(|r| r.finding.message.as_str())
-        .collect();
-    assert!(messages.iter().any(|m| m.contains("returns between draws")));
-    assert!(messages.iter().any(|m| m.contains("ambient thread RNG")));
-    assert!(messages
-        .iter()
-        .any(|m| m.contains("crosses a rayon closure")));
-    assert!(
-        messages
-            .iter()
-            .any(|m| m.contains("passed to `sample_one`")),
-        "the fn database must resolve the innocuously-named capture"
-    );
-}
-
-#[test]
-fn float_order_fixture_is_flagged() {
-    let outcome = analyze("bad/float_order.rs");
-    assert_eq!(rules_hit(&outcome), ["float-order"]);
-    // Untyped `.sum()`, explicit `.sum::<f64>()`, and `.reduce(...)`.
-    assert_eq!(outcome.reports.len(), 3, "{:?}", outcome.reports);
-}
-
-#[test]
-fn impl_purity_fixture_is_flagged() {
-    let outcome = analyze("bad/impl_purity.rs");
-    assert_eq!(rules_hit(&outcome), ["impl-purity"]);
-    // Wall clock in a PoolingDesign, env read in a PopulationModel, and a
-    // mutable static in a NoiseModel.
-    assert_eq!(outcome.reports.len(), 3, "{:?}", outcome.reports);
-}
-
-#[test]
-fn clock_boundary_fixture_is_flagged() {
-    let outcome = analyze("bad/clock_boundary.rs");
-    assert_eq!(rules_hit(&outcome), ["clock-boundary"]);
-    // Instant::now, SystemTime, and a stored-origin .elapsed() — the
-    // constant SteadyClock impl must not be flagged.
-    assert_eq!(outcome.reports.len(), 3, "{:?}", outcome.reports);
-    let messages: Vec<&str> = outcome
-        .reports
-        .iter()
-        .map(|r| r.finding.message.as_str())
-        .collect();
-    assert!(messages.iter().all(|m| m.contains("contract rule 11")));
-    assert!(messages
-        .iter()
-        .any(|m| m.contains("the monotonic wall clock")));
-    assert!(messages.iter().any(|m| m.contains("the system clock")));
-    assert!(messages
-        .iter()
-        .any(|m| m.contains("a stored wall-clock origin")));
-}
-
-#[test]
-fn analyzer_traps_stay_clean() {
-    let outcome = analyze("clean/analyze_traps.rs");
-    assert!(
-        outcome.reports.is_empty(),
-        "false positives: {:?}",
-        outcome.reports
-    );
+fn run_binary(args: &[&str]) -> (Option<i32>, String) {
+    run_binary_in(Path::new(env!("CARGO_MANIFEST_DIR")), args)
 }
 
 #[test]
 fn binary_exits_nonzero_on_every_bad_analyzer_fixture() {
-    for name in [
-        "bad/rng_provenance.rs",
-        "bad/float_order.rs",
-        "bad/impl_purity.rs",
-        "bad/clock_boundary.rs",
+    // Each parser-rule fixture fails the run and the text report names
+    // the parser rule it plants, not only the token rules it overlaps.
+    for (name, rule) in [
+        ("bad/rng_provenance.rs", "rng-provenance"),
+        ("bad/float_order.rs", "float-order"),
+        ("bad/impl_purity.rs", "impl-purity"),
+        ("bad/clock_boundary.rs", "clock-boundary"),
     ] {
         let path = fixture(name);
-        let (ok, stdout) = run_binary(&["analyze", path.to_str().expect("utf-8 path")]);
-        assert!(!ok, "{name} must fail analysis; stdout:\n{stdout}");
+        let (code, stdout) = run_binary(&["analyze", path.to_str().expect("utf-8 path")]);
+        assert_eq!(
+            code,
+            Some(1),
+            "{name} must fail analysis; stdout:\n{stdout}"
+        );
+        assert!(
+            stdout.contains(&format!("[{rule}]")),
+            "{name} must report `{rule}`; stdout:\n{stdout}"
+        );
     }
 }
 
 #[test]
 fn json_report_is_schema_versioned_for_both_tools() {
-    let path = fixture("bad/float_order.rs");
-    let (ok, stdout) = run_binary(&["analyze", "--json", path.to_str().expect("utf-8 path")]);
-    assert!(!ok);
-    assert!(stdout.contains("\"schema\": 1"), "{stdout}");
-    assert!(stdout.contains("\"tool\": \"analyze\""), "{stdout}");
-    assert!(stdout.contains("\"rule\": \"float-order\""), "{stdout}");
-    assert!(
-        stdout.contains("\"per_rule\": {\"float-order\": 3}"),
-        "{stdout}"
-    );
-    assert!(stdout.contains("\"ok\": false"), "{stdout}");
-
-    let lint_path = fixture("bad/wall_clock.rs");
-    let (ok, stdout) = run_binary(&["lint", "--json", lint_path.to_str().expect("utf-8 path")]);
-    assert!(!ok);
-    assert!(stdout.contains("\"schema\": 1"), "{stdout}");
-    assert!(stdout.contains("\"tool\": \"lint\""), "{stdout}");
+    // The rules of the former `lint` (token) and `analyze` (parser) tools
+    // land in the same versioned document under the one tool name.
+    for (name, rule) in [
+        ("bad/float_order.rs", "float-order"),
+        ("bad/wall_clock.rs", "wall-clock"),
+    ] {
+        let path = fixture(name);
+        let (code, stdout) = run_binary(&["analyze", "--json", path.to_str().expect("utf-8 path")]);
+        assert_eq!(code, Some(1), "{stdout}");
+        assert!(stdout.contains("\"schema\": 1"), "{stdout}");
+        assert!(stdout.contains("\"tool\": \"analyze\""), "{stdout}");
+        assert!(
+            stdout.contains(&format!("\"rule\": \"{rule}\"")),
+            "{stdout}"
+        );
+        assert!(
+            stdout.contains(&format!("\"per_rule\": {{\"{rule}\": 3}}")),
+            "{stdout}"
+        );
+        assert!(stdout.contains("\"ok\": false"), "{stdout}");
+    }
 }
 
 #[test]
 fn workspace_analyzes_clean() {
+    // The no-argument run CI makes: from the workspace root, the binary
+    // finds the workspace, reports nothing, and exits 0.
     let root = Path::new(env!("CARGO_MANIFEST_DIR"))
         .join("../..")
         .canonicalize()
         .expect("workspace root exists");
-    let outcome = engine::analyze_workspace(&root, false).expect("workspace readable");
-    assert!(
-        outcome.reports.is_empty(),
-        "the workspace violates its own determinism contract:\n{}",
-        engine::render_text(&outcome, "analyze")
+    let (code, stdout) = run_binary_in(&root, &["analyze", "--json"]);
+    assert_eq!(
+        code,
+        Some(0),
+        "the workspace violates its own determinism contract:\n{stdout}"
     );
-    // The walk really covered the tree; lint fixtures are the only skips.
-    assert!(outcome.files > 150, "only {} files scanned", outcome.files);
+    assert!(stdout.contains("\"findings\": []"), "{stdout}");
+    assert!(stdout.contains("\"ok\": true"), "{stdout}");
 }

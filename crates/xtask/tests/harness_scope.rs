@@ -65,6 +65,53 @@ fn pinning_test_files_pass_the_harness_bar() {
     }
 }
 
+/// Root-relative paths of every `.rs` file below `dir`, skipping build
+/// output, hidden directories and the rule fixtures.
+fn rs_files(root: &Path, dir: &Path, out: &mut Vec<String>) {
+    for entry in std::fs::read_dir(dir).expect("directory readable") {
+        let path = entry.expect("entry readable").path();
+        let name = path.file_name().map(|n| n.to_string_lossy().into_owned());
+        let name = name.unwrap_or_default();
+        if path.is_dir() {
+            if name != "target" && name != "fixtures" && !name.starts_with('.') {
+                rs_files(root, &path, out);
+            }
+        } else if name.ends_with(".rs") {
+            let rel = path.strip_prefix(root).expect("below the root");
+            out.push(rel.to_string_lossy().replace('\\', "/"));
+        }
+    }
+}
+
+#[test]
+fn whole_workspace_passes_the_harness_sweep() {
+    // Beyond the two pinning files: every test, bench and example in the
+    // tree is classified test-like and, checked on its own under that
+    // context, is free of the hash-iteration and wall-clock hazards.
+    let root = root();
+    let mut rels = Vec::new();
+    rs_files(&root, &root, &mut rels);
+    rels.sort();
+    let mut swept = Vec::new();
+    for rel in &rels {
+        let ctx = FileContext::classify(rel).expect("non-fixture files are classified");
+        if ctx.kind != FileKind::TestLike {
+            continue;
+        }
+        let src = std::fs::read_to_string(root.join(rel)).expect("file readable");
+        let (findings, _) = engine::check_source(&ctx, &src);
+        assert!(
+            findings.is_empty(),
+            "{rel} uses ordering hazards: {findings:?}"
+        );
+        swept.push(rel.as_str());
+    }
+    for pinned in ["tests/determinism.rs", "tests/static_contract.rs"] {
+        assert!(swept.contains(&pinned), "{pinned} not swept: {swept:?}");
+    }
+    assert!(swept.len() > 40, "only {} harness files swept", swept.len());
+}
+
 #[test]
 fn workspace_walk_checks_test_files_without_a_flag() {
     let outcome =
